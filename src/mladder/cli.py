@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,14 +33,7 @@ from .indices import (
     normalize_alpha,
 )
 from .ladder import InvalidParams, build_ladder
-from .verify import (
-    DEFAULT_GRIDS,
-    combine,
-    values_equal,
-    verify_propositions,
-    verify_thm31,
-    verify_thm32,
-)
+from .verify import PROPOSITION_SUBJECTS, THEOREM_SUBJECTS, values_equal, verify_all
 
 PROG = "mladder"
 
@@ -53,6 +47,16 @@ def _range_arg(text: str) -> tuple[int, int]:
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
+
+
+def _alpha_arg(text: str) -> float:
+    try:
+        alpha = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(alpha):
+        raise argparse.ArgumentTypeError(f"alpha must be finite, got {text!r}")
+    return alpha
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute indices from edges and from the M-polynomial")
     p.add_argument("--line", action="store_true", help="use the line graph of the base graph")
     p.add_argument("--from-file", metavar="PATH", help="read the base graph from an edge-list file")
-    p.add_argument("--alpha", action="append", type=float, metavar="A",
+    p.add_argument("--alpha", action="append", type=_alpha_arg, metavar="A",
                    help="Randic exponent; repeatable (default: 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject", choices=("thm31", "thm32", "props", "all"), default="all")
     p.add_argument("--m-range", type=_range_arg, metavar="A:B", default=None)
     p.add_argument("--n-range", type=_range_arg, metavar="A:B", default=None)
-    p.add_argument("--alpha", action="append", type=float, metavar="A",
+    p.add_argument("--alpha", action="append", type=_alpha_arg, metavar="A",
                    help="Randic exponent for proposition subjects; repeatable (default: 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -213,17 +217,16 @@ def _cmd_indices(args, parser) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
+VERIFY_SUBJECTS = {
+    "thm31": ("thm31",),
+    "thm32": ("thm32",),
+    "props": PROPOSITION_SUBJECTS,
+    "all": THEOREM_SUBJECTS + PROPOSITION_SUBJECTS,
+}
+
+
 def _cmd_verify(args) -> tuple[str, int]:
-    reports = []
-    if args.subject in ("thm31", "all"):
-        reports.append(verify_thm31(args.m_range or DEFAULT_GRIDS["thm31"][0],
-                                    args.n_range or DEFAULT_GRIDS["thm31"][1]))
-    if args.subject in ("thm32", "all"):
-        reports.append(verify_thm32(args.m_range or DEFAULT_GRIDS["thm32"][0],
-                                    args.n_range or DEFAULT_GRIDS["thm32"][1]))
-    if args.subject in ("props", "all"):
-        reports.append(verify_propositions(args.m_range, args.n_range, _alphas(args)))
-    report = combine(reports)
+    report = verify_all(_alphas(args), VERIFY_SUBJECTS[args.subject], args.m_range, args.n_range)
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()
     return text, 3 if report.theorem_mismatches() else 0
 

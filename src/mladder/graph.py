@@ -12,12 +12,21 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice, starmap
+from operator import eq, itemgetter, lt
 from typing import Iterable
 
 from .mpoly import MPoly
 
 Edge = tuple[int, int]
+
+
+def _bad_ids(pairs) -> ValueError:
+    """The error for the first pair in ``pairs`` with an id that is not an int."""
+    for u, v in pairs:
+        if type(u) is not int or type(v) is not int:
+            return ValueError(f"vertex identifiers must be integers, got ({u!r}, {v!r})")
+    return ValueError("vertex identifiers must be integers")
 
 
 class Graph:
@@ -28,24 +37,30 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
         if not isinstance(vertex_count, int) or vertex_count < 0:
             raise ValueError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
-        normalized: set[Edge] = set()
-        degrees = [0] * vertex_count
-        for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
-                raise ValueError(f"vertex identifiers must be integers, got ({u!r}, {v!r})")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in normalized:
-                raise ValueError(f"parallel edge ({e[0]}, {e[1]})")
-            normalized.add(e)
-            degrees[u] += 1
-            degrees[v] += 1
+        # Checked in bulk on the sorted list rather than edge by edge: a
+        # loop is an edge that is not strictly ordered, a duplicate is equal
+        # to its sorted neighbour.  ``type(x) is int`` also rejects bools.
+        pairs = None
+        try:
+            pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+            pairs.sort()
+        except TypeError:  # ids that do not compare, such as int and str
+            raise _bad_ids(edges if pairs is None else pairs) from None
+        if not all(type(u) is int and type(v) is int for u, v in pairs):
+            raise _bad_ids(pairs)
+        if pairs and (pairs[0][0] < 0 or max(map(itemgetter(1), pairs)) >= vertex_count):
+            u, v = next(e for e in pairs if e[0] < 0 or e[1] >= vertex_count)
+            raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
+        if not all(starmap(lt, pairs)):
+            u = next(u for u, v in pairs if u == v)
+            raise ValueError(f"self-loop at vertex {u}")
+        if any(map(eq, pairs, islice(pairs, 1, None))):
+            u, v = next(a for a, b in zip(pairs, islice(pairs, 1, None)) if a == b)
+            raise ValueError(f"parallel edge ({u}, {v})")
+        counts = Counter(chain.from_iterable(pairs))
         self._n = vertex_count
-        self._edges: tuple[Edge, ...] = tuple(sorted(normalized))
-        self._degrees = tuple(degrees)
+        self._edges: tuple[Edge, ...] = tuple(pairs)
+        self._degrees = tuple(map(counts.__getitem__, range(vertex_count)))
 
     @property
     def vertex_count(self) -> int:

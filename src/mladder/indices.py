@@ -1,8 +1,12 @@
 """Degree-based topological indices, computed two independent ways.
 
-:func:`indices_from_edges` sums the defining expressions directly over a
-graph's edges.  :func:`indices_from_mpoly` recovers the same quantities
-from an M-polynomial through the degree-weight operator calculus.  The two
+:func:`indices_from_edges` evaluates the defining expressions over a
+graph's edges: it reads each edge's endpoint degrees once, tallies the
+degree pairs and degree products with integer counts, and builds each
+exact term once per distinct value.  :func:`indices_from_mpoly` recovers
+the same quantities from an M-polynomial through the degree-weight
+operator calculus.  The edge route tallies for itself and never touches
+``MPoly``, ``weight_by`` or ``Graph.edge_degree_partition``: the two
 routes share no code path, so their agreement on a graph and its
 M-polynomial is a meaningful cross-check rather than a tautology.
 
@@ -19,6 +23,7 @@ alpha in double precision (compare with a relative tolerance of 1e-12).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -55,28 +60,39 @@ class IndexSet:
 
 
 def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
-    """Compute all indices by direct summation over the graph's edges."""
+    """Compute all indices by direct summation over the graph's edges.
+
+    Each edge's endpoint degrees are read once and tallied: degree pairs
+    for M1 and SDD (both symmetric in the pair, so the order within a pair
+    does not matter), products ``d_u * d_v`` for M2, MM2 and the Randic
+    families.  Exact terms are then built once per distinct value.
+    Non-integer alpha caches ``p ** alpha`` per distinct product but still
+    adds one float per edge in edge order, as a plain per-edge sum would.
+    """
     d = g.degrees()
-    m1 = Fraction(0)
-    m2 = Fraction(0)
-    mm2 = Fraction(0)
-    sdd = Fraction(0)
-    for u, v in g.edges:
-        du, dv = d[u], d[v]
-        m1 += du + dv
-        m2 += du * dv
-        mm2 += Fraction(1, du * dv)
-        lo, hi = (du, dv) if du <= dv else (dv, du)
-        sdd += Fraction(lo, hi) + Fraction(hi, lo)
+    degree_pairs = Counter((d[u], d[v]) for u, v in g.edges)
+    product_counts: Counter = Counter()
+    for (du, dv), c in degree_pairs.items():
+        product_counts[du * dv] += c
+    m1 = Fraction(sum(c * (du + dv) for (du, dv), c in degree_pairs.items()))
+    m2 = Fraction(sum(c * p for p, c in product_counts.items()))
+    mm2 = sum((Fraction(c, p) for p, c in product_counts.items()), Fraction(0))
+    sdd = sum((c * (Fraction(du, dv) + Fraction(dv, du)) for (du, dv), c in degree_pairs.items()),
+              Fraction(0))
     r: dict[Alpha, Real] = {}
     rr: dict[Alpha, Real] = {}
+    products = None
     for alpha in (normalize_alpha(a) for a in alphas):
         if isinstance(alpha, int):
-            r[alpha] = sum((Fraction(d[u] * d[v]) ** alpha for u, v in g.edges), Fraction(0))
-            rr[alpha] = sum((Fraction(d[u] * d[v]) ** -alpha for u, v in g.edges), Fraction(0))
+            r[alpha] = sum((c * Fraction(p) ** alpha for p, c in product_counts.items()), Fraction(0))
+            rr[alpha] = sum((c * Fraction(p) ** -alpha for p, c in product_counts.items()), Fraction(0))
         else:
-            r[alpha] = sum(((d[u] * d[v]) ** alpha for u, v in g.edges), 0.0)
-            rr[alpha] = sum(((d[u] * d[v]) ** -alpha for u, v in g.edges), 0.0)
+            if products is None:
+                products = [d[u] * d[v] for u, v in g.edges]
+            power = {p: p ** alpha for p in product_counts}
+            r[alpha] = sum(map(power.__getitem__, products), 0.0)
+            power = {p: p ** -alpha for p in product_counts}
+            rr[alpha] = sum(map(power.__getitem__, products), 0.0)
     return IndexSet(m1=m1, m2=m2, mm2=mm2, sdd=sdd, r_alpha=r, rr_alpha=rr)
 
 

@@ -54,18 +54,10 @@ class MPoly:
             acc[(i, j)] = acc.get((i, j), Fraction(0)) + _as_fraction(coefficient)
         self._terms = {key: c for key in sorted(acc) if (c := acc[key]) != 0}
 
-    @classmethod
-    def zero(cls) -> "MPoly":
-        return cls()
-
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
         """Term mapping as a fresh dict, in ascending ``(i, j)`` order."""
         return dict(self._terms)
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        """Return the coefficient of ``x^i y^j`` (zero when absent)."""
-        return self._terms.get((i, j), Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self._terms)

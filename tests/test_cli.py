@@ -164,3 +164,19 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "thm32" in proc.stdout
+
+
+@pytest.mark.parametrize("command", [["indices", "--m", "5", "--n", "3"], ["verify"]])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "NaN", "1e400"])
+def test_non_finite_alpha_exit_2(capsys, command, alpha):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"--alpha={alpha}"])
+    assert exc.value.code == 2
+    assert "alpha must be finite" in capsys.readouterr().err
+
+
+def test_non_numeric_alpha_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["indices", "--m", "5", "--n", "3", "--alpha", "x"])
+    assert exc.value.code == 2
+    assert "expected a number" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from mladder import MPoly, ZeroExponentWeight
 
 
 def test_empty_is_zero():
-    p = MPoly.zero()
+    p = MPoly()
     assert not p
     assert p.terms == {}
     assert p.eval_at_one() == 0
@@ -79,7 +79,7 @@ def test_render_json_round_trips():
 
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
-        MPoly.zero().render("html")
+        MPoly().render("html")
 
 
 exponents = st.tuples(st.integers(1, 9), st.integers(1, 9))
