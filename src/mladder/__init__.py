@@ -23,7 +23,6 @@ from .mpoly import MPoly, ZeroExponentWeight
 from .verify import (
     CaseResult,
     VerificationReport,
-    combine,
     values_equal,
     verify_all,
     verify_propositions,
@@ -45,7 +44,6 @@ __all__ = [
     "ZeroExponentWeight",
     "alpha_label",
     "build_ladder",
-    "combine",
     "indices_from_edges",
     "indices_from_mpoly",
     "normalize_alpha",

@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .closed_forms import OutOfStatedRange
@@ -33,7 +32,15 @@ from .indices import (
     normalize_alpha,
 )
 from .ladder import InvalidParams, build_ladder
-from .verify import PROPOSITION_SUBJECTS, THEOREM_SUBJECTS, values_equal, verify_all
+from .verify import (
+    PROPOSITION_SUBJECTS,
+    THEOREM_SUBJECTS,
+    _json_value,
+    _table,
+    _text_value,
+    values_equal,
+    verify_all,
+)
 
 PROG = "mladder"
 
@@ -138,44 +145,15 @@ def _graph_json(g: Graph) -> str:
     )
 
 
-def _rational_json(value: Fraction) -> dict:
-    return {"num": value.numerator, "den": value.denominator}
-
-
-def _value_json(value):
-    return _rational_json(value) if isinstance(value, Fraction) else value
-
-
-def _value_text(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    return repr(value)
-
-
 def _indexset_json(s: IndexSet, alphas: Sequence[Alpha]) -> dict:
     return {
-        "m1": _rational_json(s.m1),
-        "m2": _rational_json(s.m2),
-        "mm2": _rational_json(s.mm2),
-        "sdd": _rational_json(s.sdd),
-        "r_alpha": {alpha_label(a): _value_json(s.r_alpha[a]) for a in alphas},
-        "rr_alpha": {alpha_label(a): _value_json(s.rr_alpha[a]) for a in alphas},
+        "m1": _json_value(s.m1),
+        "m2": _json_value(s.m2),
+        "mm2": _json_value(s.mm2),
+        "sdd": _json_value(s.sdd),
+        "r_alpha": {alpha_label(a): _json_value(s.r_alpha[a]) for a in alphas},
+        "rr_alpha": {alpha_label(a): _json_value(s.rr_alpha[a]) for a in alphas},
     }
-
-
-def _index_rows(from_edges: IndexSet, from_mpoly: IndexSet,
-                alphas: Sequence[Alpha]) -> list[tuple[str, object, object]]:
-    rows = [
-        ("m1", from_edges.m1, from_mpoly.m1),
-        ("m2", from_edges.m2, from_mpoly.m2),
-        ("mm2", from_edges.mm2, from_mpoly.mm2),
-        ("sdd", from_edges.sdd, from_mpoly.sdd),
-    ]
-    for a in alphas:
-        label = alpha_label(a)
-        rows.append((f"r_alpha[{label}]", from_edges.r_alpha[a], from_mpoly.r_alpha[a]))
-        rows.append((f"rr_alpha[{label}]", from_edges.rr_alpha[a], from_mpoly.rr_alpha[a]))
-    return rows
 
 
 def _cmd_graph(args, parser) -> tuple[str, int]:
@@ -200,7 +178,8 @@ def _cmd_indices(args, parser) -> tuple[str, int]:
     alphas = _alphas(args)
     from_edges = indices_from_edges(g, alphas)
     from_mpoly = indices_from_mpoly(g.m_polynomial(), alphas)
-    rows = _index_rows(from_edges, from_mpoly, alphas)
+    rows = [(q, a, b) for (q, a), (_, b) in zip(from_edges.quantities(alphas),
+                                                 from_mpoly.quantities(alphas))]
     if args.format == "json":
         payload = {
             "from_edges": _indexset_json(from_edges, alphas),
@@ -209,12 +188,9 @@ def _cmd_indices(args, parser) -> tuple[str, int]:
         }
         return json.dumps(payload, indent=2) + "\n", 0
     header = ("quantity", "edges", "mpoly", "agree")
-    table = [(q, _value_text(a), _value_text(b), "yes" if values_equal(a, b) else "NO")
+    table = [(q, _text_value(a), _text_value(b), "yes" if values_equal(a, b) else "NO")
              for q, a, b in rows]
-    widths = [max(len(header[k]), max(len(r[k]) for r in table)) for k in range(4)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines += ["  ".join(f.ljust(w) for f, w in zip(r, widths)).rstrip() for r in table]
-    return "\n".join(lines) + "\n", 0
+    return "\n".join(_table(header, table)) + "\n", 0
 
 
 VERIFY_SUBJECTS = {

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
+from .indices import Real, normalize_alpha
 from .mpoly import MPoly
 
-Real = Union[Fraction, float]
+# Smallest n each claim is stated for (every claim needs m >= 4).
+STATED_MIN_N = {"thm31": 2, "thm32": 4, "prop41": 2, "prop42": 4}
 
 
 class OutOfStatedRange(ValueError):
@@ -42,17 +43,19 @@ class ClosedFormIndexSet:
     alpha: Real
 
 
-def _check_range(m: int, n: int, min_n: int, label: str) -> None:
+def _check_range(m: int, n: int, label: str) -> None:
     if not (isinstance(m, int) and isinstance(n, int)):
         raise OutOfStatedRange(f"{label}: m and n must be integers, got ({m!r}, {n!r})")
+    min_n = STATED_MIN_N[label]
     if m < 4 or n < min_n:
         raise OutOfStatedRange(f"{label} is stated for m >= 4, n >= {min_n}; got (m={m}, n={n})")
 
 
 def _power(base: Fraction, alpha: Real) -> Real:
     # Exact for integer alpha, float otherwise.
-    if isinstance(alpha, int) or (isinstance(alpha, float) and alpha.is_integer()):
-        return base ** int(alpha)
+    alpha = normalize_alpha(alpha)
+    if isinstance(alpha, int):
+        return base ** alpha
     return float(base) ** alpha
 
 
@@ -64,7 +67,7 @@ def thm31_mpoly(m: int, n: int) -> MPoly:
     At n = 2 the last coefficient is negative; the formula is returned
     as stated so the verifier can exhibit the discrepancy.
     """
-    _check_range(m, n, 2, "thm31")
+    _check_range(m, n, "thm31")
     return MPoly(
         {
             (3, 3): 2 * (m - 1),
@@ -80,7 +83,7 @@ def thm32_mpoly(m: int, n: int) -> MPoly:
     Stated for m, n >= 4:
     ``2(m-1) x^4 y^4 + 4(m-1) x^4 y^5 + 6(m-1) x^5 y^6 + 6(m-1)(n-3) x^6 y^6``.
     """
-    _check_range(m, n, 4, "thm32")
+    _check_range(m, n, "thm32")
     return MPoly(
         {
             (4, 4): 2 * (m - 1),
@@ -93,7 +96,7 @@ def thm32_mpoly(m: int, n: int) -> MPoly:
 
 def prop41_indices(m: int, n: int, alpha: Real = 1) -> ClosedFormIndexSet:
     """Claimed index expressions for M_{m,n} (report subject ``prop41``)."""
-    _check_range(m, n, 2, "prop41")
+    _check_range(m, n, "prop41")
     k = Fraction((m - 1) ** 2)
     m2 = 16 * (4 * n - 3) * (n - 1) * k
     mm2 = Fraction(1, 144) * (6 * n - 1) * (6 * n + 1) * k
@@ -110,7 +113,7 @@ def prop41_indices(m: int, n: int, alpha: Real = 1) -> ClosedFormIndexSet:
 
 def prop42_indices(m: int, n: int, alpha: Real = 1) -> ClosedFormIndexSet:
     """Claimed index expressions for the line graph of M_{m,n} (subject ``prop42``)."""
-    _check_range(m, n, 4, "prop42")
+    _check_range(m, n, "prop42")
     k = Fraction((m - 1) ** 2)
     m2 = 72 * (9 * n - 11) * (2 * n - 3) * k
     mm2 = Fraction(1, 100) * (10 * n - 3) * (10 * n - 7) * k

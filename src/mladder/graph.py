@@ -35,7 +35,7 @@ class Graph:
     __slots__ = ("_n", "_edges", "_degrees")
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
-        if not isinstance(vertex_count, int) or vertex_count < 0:
+        if type(vertex_count) is not int or vertex_count < 0:
             raise ValueError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
         # Checked in bulk on the sorted list rather than edge by edge: a
         # loop is an edge that is not strictly ordered, a duplicate is equal

@@ -58,6 +58,23 @@ class IndexSet:
     r_alpha: dict[Alpha, Real]
     rr_alpha: dict[Alpha, Real]
 
+    def quantities(self, alphas: Iterable[Alpha]) -> list[tuple[str, Real]]:
+        """The indices as ``(label, value)`` pairs, in the order reports print them.
+
+        ``m1``, ``m2``, ``mm2``, ``sdd``, then ``r_alpha[a]`` and
+        ``rr_alpha[a]`` for each alpha in turn (labels from
+        :func:`alpha_label`).  Both index routes and the closed forms are
+        laid out through this one method, so their rows line up by position.
+        """
+        pairs: list[tuple[str, Real]] = [
+            ("m1", self.m1), ("m2", self.m2), ("mm2", self.mm2), ("sdd", self.sdd),
+        ]
+        for a in alphas:
+            label = alpha_label(a)
+            pairs.append((f"r_alpha[{label}]", self.r_alpha[a]))
+            pairs.append((f"rr_alpha[{label}]", self.rr_alpha[a]))
+        return pairs
+
 
 def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     """Compute all indices by direct summation over the graph's edges.

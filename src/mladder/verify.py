@@ -19,14 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from . import closed_forms
 from .graph import Graph
-from .indices import Alpha, IndexSet, alpha_label, indices_from_edges, normalize_alpha
+from .indices import Alpha, IndexSet, Real, indices_from_edges, normalize_alpha
 from .ladder import MIN_M, MIN_N, InvalidParams, build_ladder
 
-Real = Union[Fraction, float]
 Range = tuple[int, int]
 
 REL_TOL = 1e-12
@@ -37,21 +36,24 @@ PROPOSITION_SUBJECTS = ("prop41", "prop42")
 
 @dataclass(frozen=True)
 class Subject:
-    """What one verification subject checks, and where."""
+    """What one verification subject checks, and where.
+
+    The smallest ``n`` a claim is stated for lives with the claim, in
+    ``closed_forms.STATED_MIN_N``.
+    """
 
     formula: str               # closed form's name in closed_forms, looked up per call
     line: bool                 # the claim is about the line graph, not the ladder
-    min_n: int                 # smallest n the claim is stated for
     grid: tuple[Range, Range]  # default inclusive (m_range, n_range)
 
 
 # Formulas are named rather than referenced so that wrapping closed_forms'
 # functions after import (as the benchmark's layer trace does) covers them.
 SUBJECTS = {
-    "thm31": Subject("thm31_mpoly", False, 2, ((4, 12), (2, 10))),
-    "thm32": Subject("thm32_mpoly", True, 4, ((4, 10), (4, 10))),
-    "prop41": Subject("prop41_indices", False, 2, ((4, 12), (2, 10))),
-    "prop42": Subject("prop42_indices", True, 4, ((4, 10), (4, 10))),
+    "thm31": Subject("thm31_mpoly", False, ((4, 12), (2, 10))),
+    "thm32": Subject("thm32_mpoly", True, ((4, 10), (4, 10))),
+    "prop41": Subject("prop41_indices", False, ((4, 12), (2, 10))),
+    "prop42": Subject("prop42_indices", True, ((4, 10), (4, 10))),
 }
 
 
@@ -117,13 +119,7 @@ class VerificationReport:
             )
             for c in self.cases
         ]
-        widths = [
-            max(len(header[k]), max((len(r[k]) for r in rows), default=0))
-            for k in range(len(header))
-        ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-        for r in rows:
-            lines.append("  ".join(f.ljust(w) for f, w in zip(r, widths)).rstrip())
+        lines = _table(header, rows)
         lines.append("")
         lines.append("summary:")
         for subject in sorted(self.summary):
@@ -161,6 +157,12 @@ def _text_value(value: Optional[Real]) -> str:
     return repr(value)
 
 
+def _table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
+    """Lay out text columns left-aligned, two spaces apart, without trailing blanks."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return ["  ".join(f.ljust(w) for f, w in zip(r, widths)).rstrip() for r in (header, *rows)]
+
+
 def _make_report(cases: Iterable[CaseResult]) -> VerificationReport:
     ordered = tuple(sorted(cases, key=CaseResult.sort_key))
     summary: dict[str, dict[str, int]] = {}
@@ -170,14 +172,6 @@ def _make_report(cases: Iterable[CaseResult]) -> VerificationReport:
         )
         counts[c.verdict] += 1
     return VerificationReport(cases=ordered, summary=summary)
-
-
-def combine(reports: Sequence[VerificationReport]) -> VerificationReport:
-    """Merge several reports into one, re-sorted."""
-    merged: list[CaseResult] = []
-    for report in reports:
-        merged.extend(report.cases)
-    return _make_report(merged)
 
 
 def _check_ranges(m_range: Range, n_range: Range) -> None:
@@ -222,15 +216,15 @@ def _mpoly_cases(subject: str, m: int, n: int, graph: Graph, formula) -> list[Ca
     return cases
 
 
-def verify_thm31(m_range: Range = SUBJECTS["thm31"].grid[0],
-                 n_range: Range = SUBJECTS["thm31"].grid[1]) -> VerificationReport:
-    """Compare each ladder's M-polynomial with its claimed closed form, term by term."""
+def verify_thm31(m_range: Optional[Range] = None,
+                 n_range: Optional[Range] = None) -> VerificationReport:
+    """Compare ladder M-polynomials with the claimed form; ranges as in :func:`verify_all`."""
     return verify_all(subjects=("thm31",), m_range=m_range, n_range=n_range)
 
 
-def verify_thm32(m_range: Range = SUBJECTS["thm32"].grid[0],
-                 n_range: Range = SUBJECTS["thm32"].grid[1]) -> VerificationReport:
-    """Compare each line graph's M-polynomial with its claimed closed form."""
+def verify_thm32(m_range: Optional[Range] = None,
+                 n_range: Optional[Range] = None) -> VerificationReport:
+    """Compare line-graph M-polynomials with the claimed form; ranges as in :func:`verify_all`."""
     return verify_all(subjects=("thm32",), m_range=m_range, n_range=n_range)
 
 
@@ -238,23 +232,18 @@ def _index_cases(subject: str, m: int, n: int, oracle: IndexSet,
                  formula, alphas: Sequence[Alpha]) -> list[CaseResult]:
     claimed_at = {a: formula(m, n, a) for a in alphas}
     any_claim = claimed_at[alphas[0]]
-    pairs: list[tuple[str, Real, Real]] = [
-        ("m1", oracle.m1, any_claim.m1),
-        ("m2", oracle.m2, any_claim.m2),
-        ("mm2", oracle.mm2, any_claim.mm2),
-        ("sdd", oracle.sdd, any_claim.sdd),
-    ]
-    for a in alphas:
-        label = alpha_label(a)
-        pairs.append((f"r_alpha[{label}]", oracle.r_alpha[a], claimed_at[a].r_alpha))
-        pairs.append((f"rr_alpha[{label}]", oracle.rr_alpha[a], claimed_at[a].rr_alpha))
+    claimed = IndexSet(
+        m1=any_claim.m1, m2=any_claim.m2, mm2=any_claim.mm2, sdd=any_claim.sdd,
+        r_alpha={a: c.r_alpha for a, c in claimed_at.items()},
+        rr_alpha={a: c.rr_alpha for a, c in claimed_at.items()},
+    )
     return [
         CaseResult(
             m=m, n=n, subject=subject, quantity=quantity,
             computed=got, closed_form=want,
             verdict="match" if values_equal(got, want) else "mismatch",
         )
-        for quantity, got, want in pairs
+        for (quantity, got), (_, want) in zip(oracle.quantities(alphas), claimed.quantities(alphas))
     ]
 
 
@@ -294,7 +283,7 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
             if not (m_lo <= m <= m_hi and n_lo <= n <= n_hi):
                 continue
             spec = SUBJECTS[subject]
-            if n < spec.min_n:
+            if n < closed_forms.STATED_MIN_N[subject]:
                 cases.append(_skip_case(subject, m, n))
                 continue
             if ladder is None:

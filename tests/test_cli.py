@@ -175,6 +175,15 @@ def test_non_finite_alpha_exit_2(capsys, command, alpha):
     assert "alpha must be finite" in capsys.readouterr().err
 
 
+def test_negative_alpha_equals_form(capsys):
+    # argparse takes "-1e-3" after a separate "--alpha" for an option; the
+    # "--alpha=VALUE" form always reaches the alpha parser.
+    assert main(["indices", "--m", "5", "--n", "3", "--alpha=-1e-3", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data["from_edges"]["r_alpha"]) == {"-0.001"}
+    assert all(data["agreement"].values())
+
+
 def test_non_numeric_alpha_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["indices", "--m", "5", "--n", "3", "--alpha", "x"])

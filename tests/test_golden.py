@@ -1,9 +1,11 @@
 """Byte-identical CLI output over a fixed set of invocations.
 
 Each case pins the exit status and the sha256 of everything ``main()``
-writes to stdout, recorded before the edge-sum route, the verify grid
-loop and the graph constructor were reworked for speed.  A refactor that
-changes any byte of these outputs fails here.
+writes to stdout.  The first six were recorded before the edge-sum route,
+the verify grid loop and the graph constructor were reworked for speed;
+the last two, text tables of ``indices`` and ``verify``, before both
+tables were rendered by one shared helper.  A refactor that changes any
+byte of these outputs fails here.
 """
 
 import hashlib
@@ -27,6 +29,11 @@ GOLDENS = [
      "2b0e488cefd65e3f07beffdcc6a2deaae202ef4f3141b8236e26279420a5e97b"),
     (["gen", "--m", "7", "--n", "5", "--format", "json"], 0,
      "e8fa606a0c762a789d53c60227de943ba39f929b0a0719b84de4b2fc43b38af3"),
+    (["indices", "--m", "7", "--n", "3", "--alpha", "0.5", "--alpha", "2", "--alpha", "-1"], 0,
+     "74d72f7e12a6c3e6f25fc5acee1c1a601fac5c66a0e0559d1d43ea51470bf6b8"),
+    (["verify", "--subject", "props", "--m-range", "4:6", "--n-range", "2:5",
+      "--alpha", "0.5"], 0,
+     "357aa2c0748a112835ba2b84db18f5995ac10fb185fb5805396f0ffb87ebabcc"),
 ]
 
 

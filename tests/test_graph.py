@@ -37,8 +37,9 @@ def test_rejects_parallel_edge():
 def test_rejects_out_of_range_vertex():
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph(-1, [])
+    for vertex_count in (-1, True, False):
+        with pytest.raises(ValueError):
+            Graph(vertex_count, [])
 
 
 def test_line_graph_of_path():

@@ -5,7 +5,6 @@ import pytest
 
 from mladder import (
     InvalidParams,
-    combine,
     values_equal,
     verify_all,
     verify_propositions,
@@ -105,11 +104,11 @@ def test_text_layout():
     assert "summary:" in lines
 
 
-def test_combine_merges_summaries():
-    merged = combine([verify_thm31((4, 4), (3, 3)), verify_thm32((4, 4), (4, 4))])
-    assert set(merged.summary) == {"thm31", "thm32"}
-    keys = [(c.subject, c.m, c.n, c.quantity) for c in merged.cases]
-    assert keys == sorted(keys)
+def test_empty_report_text():
+    # With no cases each column is as wide as its header.
+    assert verify_all(subjects=()).to_text() == (
+        "subject  m  n  quantity  oracle  paper  verdict\n\nsummary:\n"
+    )
 
 
 def test_rejects_bad_ranges():
