@@ -125,14 +125,10 @@ def _base_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Gr
         if args.m is not None or args.n is not None:
             parser.error(f"{args.command}: --from-file excludes --m/--n")
         with open(from_file, encoding="ascii") as fh:
-            g = Graph.from_edgelist(fh.read())
-    else:
-        if args.m is None or args.n is None:
-            parser.error(f"{args.command}: --m and --n are required (or --from-file)")
-        g = build_ladder(args.m, args.n)
-    if getattr(args, "line", False):
-        g = g.line_graph()
-    return g
+            return Graph.from_edgelist(fh.read())
+    if args.m is None or args.n is None:
+        parser.error(f"{args.command}: --m and --n are required (or --from-file)")
+    return build_ladder(args.m, args.n)
 
 
 def _graph_json(g: Graph) -> str:
@@ -169,15 +165,22 @@ def _cmd_graph(args, parser) -> tuple[str, int]:
 
 def _cmd_mpoly(args, parser) -> tuple[str, int]:
     g = _base_graph(args, parser)
+    poly = g.line_m_polynomial() if args.line else g.m_polynomial()
     fmt = {"text": "plain", "json": "json", "latex": "latex"}[args.format]
-    return g.m_polynomial().render(fmt) + "\n", 0
+    return poly.render(fmt) + "\n", 0
 
 
 def _cmd_indices(args, parser) -> tuple[str, int]:
     g = _base_graph(args, parser)
     alphas = _alphas(args)
-    from_edges = indices_from_edges(g, alphas)
-    from_mpoly = indices_from_mpoly(g.m_polynomial(), alphas)
+    # With --line the two routes share not even the line graph: the edge
+    # sum runs over the built line graph, the polynomial is tallied from g.
+    if args.line:
+        from_edges = indices_from_edges(g.line_graph(), alphas)
+        from_mpoly = indices_from_mpoly(g.line_m_polynomial(), alphas)
+    else:
+        from_edges = indices_from_edges(g, alphas)
+        from_mpoly = indices_from_mpoly(g.m_polynomial(), alphas)
     rows = [(q, a, b) for (q, a), (_, b) in zip(from_edges.quantities(alphas),
                                                  from_mpoly.quantities(alphas))]
     if args.format == "json":
@@ -225,6 +228,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ValueError as exc:
         print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print(f"{PROG} {args.command}: error: a Randic term overflows float arithmetic; "
+              "use a smaller |alpha|", file=sys.stderr)
         return 2
     except OSError as exc:
         path = exc.filename if exc.filename else getattr(args, "out", None) or "<io>"

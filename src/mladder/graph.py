@@ -4,8 +4,9 @@ Vertices are the integers ``0 .. vertex_count-1``; edges are unordered
 pairs with no loops and no multiplicity (duplicates are rejected at
 construction, not merged).  On top of that sit the degree tally, the edge
 partition by endpoint-degree pairs, the M-polynomial, and the line-graph
-transform.  Graphs are immutable, so everything here is safe to share
-between workers.
+transform.  The line graph's M-polynomial is also tallied directly from
+this graph's edges, without building the line graph, in O(E) memory.
+Graphs are immutable, so everything here is safe to share between workers.
 """
 
 from __future__ import annotations
@@ -104,6 +105,33 @@ class Graph:
         return MPoly(
             {key: Fraction(count) for key, count in self.edge_degree_partition().items()}
         )
+
+    def line_m_polynomial(self) -> MPoly:
+        """Return the M-polynomial of the line graph, without building it.
+
+        The line-graph vertex ``uv`` has degree ``d_u + d_v - 2``, and the
+        line-graph edges are the pairs of edges that share an endpoint.  So
+        each vertex contributes ``C(c_a, 2)`` edges to the degree pair
+        ``(a, a)`` and ``c_a * c_b`` to ``(a, b)``, ``a < b``, where ``c_k``
+        counts its incident edges of line degree ``k``.  One tally keyed by
+        ``(vertex, k)`` keeps memory O(E) however many vertices there are.
+        """
+        d = self._degrees
+        around = Counter()
+        for u, v in self._edges:
+            k = d[u] + d[v] - 2
+            around[(u, k)] += 1
+            around[(v, k)] += 1
+        counts = Counter()
+        vertex, seen = None, []  # seen: the (a, c_a) of this vertex with a < k
+        for (w, k), c in sorted(around.items()):
+            if w != vertex:
+                vertex, seen = w, []
+            counts[(k, k)] += c * (c - 1) // 2
+            for a, count_a in seen:
+                counts[(a, k)] += count_a * c
+            seen.append((k, c))
+        return MPoly({key: Fraction(count) for key, count in counts.items()})
 
     def line_graph(self) -> "Graph":
         """Return the line graph.

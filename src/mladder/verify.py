@@ -270,7 +270,7 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
     its line graph at most once, then shared by every subject at that
     point; nothing is kept from one point to the next.
     """
-    alpha_list = [normalize_alpha(a) for a in alphas] or [1]
+    alpha_list = list(dict.fromkeys(normalize_alpha(a) for a in alphas)) or [1]
     grids: dict[str, tuple[Range, Range]] = {}
     for subject in subjects:
         default = SUBJECTS[subject].grid

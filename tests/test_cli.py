@@ -189,3 +189,20 @@ def test_non_numeric_alpha_exit_2(capsys):
         main(["indices", "--m", "5", "--n", "3", "--alpha", "x"])
     assert exc.value.code == 2
     assert "expected a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["indices", "--m", "5", "--n", "3", "--alpha=400.5"],
+    ["indices", "--m", "5", "--n", "3", "--alpha=-400.5"],
+    ["verify", "--subject", "props", "--m-range", "4:4", "--n-range", "3:3", "--alpha=400.5"],
+])
+def test_float_overflow_exit_2(argv):
+    proc = subprocess.run([sys.executable, "-m", "mladder.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"mladder {argv[0]}: error: a Randic term overflows float arithmetic; "
+        "use a smaller |alpha|"
+    ]
+    assert proc.stdout == ""

@@ -1,10 +1,12 @@
-"""The bulk edge sum and the bulk graph constructor against per-edge references.
+"""Fast routes against the plain ones they replaced.
 
 ``indices_from_edges`` tallies degree pairs and ``Graph.__init__`` checks
 its edges in bulk on a sorted list.  The references below are the plain
 per-edge loops those replaced; both versions must give the same values
 (exactly, and bit for bit for float alpha) and accept and reject the same
-edge lists.
+edge lists.  ``Graph.line_m_polynomial`` tallies the line graph's
+M-polynomial from the degree-transfer law; it must equal the M-polynomial
+of the materialized line graph.
 """
 
 from fractions import Fraction
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mladder import Graph, indices_from_edges, normalize_alpha
+from mladder import Graph, MPoly, indices_from_edges, normalize_alpha
 
+from conftest import path_graph, star_graph
 from test_acceptance import EXACT_ALPHAS, FLOAT_ALPHAS, corpus
 
 ALPHAS = EXACT_ALPHAS + FLOAT_ALPHAS + (1.5, -2.25, 3.0)
@@ -88,6 +91,34 @@ def simple_graphs(draw):
 @given(simple_graphs(), st.lists(st.integers(-4, 4) | st.floats(-3, 3), min_size=1, max_size=4))
 def test_edge_sum_matches_reference(g, alphas):
     assert_same_indices(g, alphas)
+
+
+def test_line_mpoly_matches_line_graph_on_corpus():
+    # The corpus holds ladders with n = 2, 3 (below the stated domain) and
+    # every ladder's line graph, so this also covers line graphs of line graphs.
+    for g in corpus():
+        assert g.line_m_polynomial() == g.line_graph().m_polynomial()
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0),
+    Graph(5),
+    Graph(2, [(0, 1)]),
+    star_graph(300),
+    Graph(9, path_graph(6).edges),
+], ids=["empty", "isolated-only", "single-edge", "star-300", "path-with-isolated"])
+def test_line_mpoly_edge_cases(g):
+    assert g.line_m_polynomial() == g.line_graph().m_polynomial()
+
+
+def test_line_mpoly_of_star_and_single_edge():
+    assert star_graph(300).line_m_polynomial() == MPoly({(299, 299): 300 * 299 // 2})
+    assert Graph(2, [(0, 1)]).line_m_polynomial() == MPoly()
+
+
+@given(simple_graphs())
+def test_line_mpoly_matches_line_graph(g):
+    assert g.line_m_polynomial() == g.line_graph().m_polynomial()
 
 
 # Vertex ids the reference rejects or accepts; bools are left out here

@@ -3,16 +3,22 @@
 Each case pins the exit status and the sha256 of everything ``main()``
 writes to stdout.  The first six were recorded before the edge-sum route,
 the verify grid loop and the graph constructor were reworked for speed;
-the last two, text tables of ``indices`` and ``verify``, before both
-tables were rendered by one shared helper.  A refactor that changes any
-byte of these outputs fails here.
+the next two, text tables of ``indices`` and ``verify``, before both
+tables were rendered by one shared helper; the last three, ``--line`` on
+the irregular graph in ``data/irregular.edgelist`` (a hub of degree 22,
+pendant edges, isolated vertices, 18 degree pairs in its line graph),
+before ``mpoly --line`` stopped building the line graph.  A refactor that
+changes any byte of these outputs fails here.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from mladder.cli import main
+
+IRREGULAR = str(Path(__file__).parent / "data" / "irregular.edgelist")
 
 GOLDENS = [
     (["verify"], 3,
@@ -34,10 +40,19 @@ GOLDENS = [
     (["verify", "--subject", "props", "--m-range", "4:6", "--n-range", "2:5",
       "--alpha", "0.5"], 0,
      "357aa2c0748a112835ba2b84db18f5995ac10fb185fb5805396f0ffb87ebabcc"),
+    (["mpoly", "--from-file", IRREGULAR, "--line", "--format", "json"], 0,
+     "309a63754ddda040344bfb3b7c11d263ab30d463b0ca99829b128b0b18ddc78e"),
+    (["mpoly", "--from-file", IRREGULAR, "--line", "--format", "text"], 0,
+     "314df13a10aab8e6033a5a31565f502fb74a54bab960744a74526945538889a6"),
+    (["indices", "--from-file", IRREGULAR, "--line", "--alpha", "0.5", "--alpha", "2",
+      "--format", "json"], 0,
+     "606e34d8777738906bdd6233f1427edc182b37803d6487e5c952ca32467646f6"),
 ]
 
 
-@pytest.mark.parametrize("argv,status,digest", GOLDENS, ids=[" ".join(g[0]) for g in GOLDENS])
+@pytest.mark.parametrize("argv,status,digest", GOLDENS,
+                         ids=[" ".join(g[0]).replace(IRREGULAR, "irregular.edgelist")
+                              for g in GOLDENS])
 def test_golden_output(capsys, argv, status, digest):
     assert main(argv) == status
     out = capsys.readouterr().out

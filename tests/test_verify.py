@@ -118,3 +118,9 @@ def test_rejects_bad_ranges():
         verify_thm31((3, 5), (3, 3))
     with pytest.raises(InvalidParams):
         verify_thm32((4, 4), (1, 4))
+
+
+def test_duplicate_alphas_are_checked_once():
+    report = verify_propositions((4, 4), (4, 4), alphas=(1, 1.0))
+    assert sum(report.summary["prop41"].values()) == 6
+    assert report == verify_propositions((4, 4), (4, 4), alphas=(1,))
