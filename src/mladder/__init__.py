@@ -3,7 +3,6 @@ cross-validation of published closed forms against direct graph enumeration.
 """
 
 from .closed_forms import (
-    ClosedFormIndexSet,
     OutOfStatedRange,
     prop41_indices,
     prop42_indices,
@@ -25,16 +24,12 @@ from .verify import (
     VerificationReport,
     values_equal,
     verify_all,
-    verify_propositions,
-    verify_thm31,
-    verify_thm32,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CaseResult",
-    "ClosedFormIndexSet",
     "Graph",
     "IndexSet",
     "InvalidParams",
@@ -53,8 +48,5 @@ __all__ = [
     "thm32_mpoly",
     "values_equal",
     "verify_all",
-    "verify_propositions",
-    "verify_thm31",
-    "verify_thm32",
     "__version__",
 ]

@@ -21,7 +21,6 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .closed_forms import OutOfStatedRange
 from .graph import Graph
 from .indices import (
     Alpha,
@@ -222,7 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output, status = _cmd_indices(args, parser)
         else:
             output, status = _cmd_verify(args)
-    except (InvalidParams, OutOfStatedRange) as exc:
+    except InvalidParams as exc:
         print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)
         print(f"usage hint: {PROG} {args.command} --help", file=sys.stderr)
         return 2

@@ -5,16 +5,18 @@ the M-polynomials of M_{m,n} and of its line graph, and six index
 expressions for each.  Everything is implemented exactly as stated, with
 no corrections, so the verify harness can compare each claim against
 brute-force graph enumeration and report where they agree and where they
-do not.  The subject labels used in reports are ``thm31``/``thm32`` for
-the two M-polynomial forms and ``prop41``/``prop42`` for the index sets.
+do not.  The M-polynomial forms return an ``MPoly`` and the index forms
+an ``IndexSet``, the same types the enumeration routes produce.  The
+subject labels used in reports are ``thm31``/``thm32`` for the two
+M-polynomial forms and ``prop41``/``prop42`` for the index sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .indices import Real, normalize_alpha
+from .indices import Alpha, IndexSet, Real, normalize_alpha
 from .mpoly import MPoly
 
 # Smallest n each claim is stated for (every claim needs m >= 4).
@@ -25,24 +27,6 @@ class OutOfStatedRange(ValueError):
     """Parameters below the domain for which a closed form is stated."""
 
 
-@dataclass(frozen=True)
-class ClosedFormIndexSet:
-    """The six index expressions of one claim set, evaluated at (m, n, alpha).
-
-    Values are exactly the stated expressions: rational whenever alpha is an
-    integer, double-precision floats otherwise.  No correction is applied
-    even where a claim disagrees with graph enumeration.
-    """
-
-    m1: Fraction
-    m2: Fraction
-    mm2: Fraction
-    r_alpha: Real
-    rr_alpha: Real
-    sdd: Fraction
-    alpha: Real
-
-
 def _check_range(m: int, n: int, label: str) -> None:
     if not (isinstance(m, int) and isinstance(n, int)):
         raise OutOfStatedRange(f"{label}: m and n must be integers, got ({m!r}, {n!r})")
@@ -51,12 +35,18 @@ def _check_range(m: int, n: int, label: str) -> None:
         raise OutOfStatedRange(f"{label} is stated for m >= 4, n >= {min_n}; got (m={m}, n={n})")
 
 
-def _power(base: Fraction, alpha: Real) -> Real:
+def _power(base: Fraction, alpha: Alpha) -> Real:
     # Exact for integer alpha, float otherwise.
-    alpha = normalize_alpha(alpha)
-    if isinstance(alpha, int):
-        return base ** alpha
-    return float(base) ** alpha
+    return base ** alpha if isinstance(alpha, int) else float(base) ** alpha
+
+
+def _index_set(m1: Fraction, m2: Fraction, mm2: Fraction, sdd: Fraction,
+               alphas: Iterable[Alpha]) -> IndexSet:
+    # The paper's R_alpha and RR_alpha are M2 and MM2 raised to alpha.
+    alphas = [normalize_alpha(a) for a in alphas]
+    return IndexSet(m1=m1, m2=m2, mm2=mm2, sdd=sdd,
+                    r_alpha={a: _power(m2, a) for a in alphas},
+                    rr_alpha={a: _power(mm2, a) for a in alphas})
 
 
 def thm31_mpoly(m: int, n: int) -> MPoly:
@@ -94,35 +84,27 @@ def thm32_mpoly(m: int, n: int) -> MPoly:
     )
 
 
-def prop41_indices(m: int, n: int, alpha: Real = 1) -> ClosedFormIndexSet:
-    """Claimed index expressions for M_{m,n} (report subject ``prop41``)."""
+def prop41_indices(m: int, n: int, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
+    """Claimed index expressions for M_{m,n} (report subject ``prop41``).
+
+    ``r_alpha``/``rr_alpha`` are keyed by each normalized alpha: exact for
+    integer alpha, double-precision floats otherwise.
+    """
     _check_range(m, n, "prop41")
     k = Fraction((m - 1) ** 2)
     m2 = 16 * (4 * n - 3) * (n - 1) * k
     mm2 = Fraction(1, 144) * (6 * n - 1) * (6 * n + 1) * k
-    return ClosedFormIndexSet(
-        m1=Fraction(16 * m * n - 20 * m - 16 * n + 14),
-        m2=m2,
-        mm2=mm2,
-        r_alpha=_power(m2, alpha),
-        rr_alpha=_power(mm2, alpha),
-        sdd=Fraction(1, 72) * (48 * n * n - 42 * n + 1) * k,
-        alpha=alpha,
-    )
+    m1 = Fraction(16 * m * n - 20 * m - 16 * n + 14)
+    sdd = Fraction(1, 72) * (48 * n * n - 42 * n + 1) * k
+    return _index_set(m1, m2, mm2, sdd, alphas)
 
 
-def prop42_indices(m: int, n: int, alpha: Real = 1) -> ClosedFormIndexSet:
+def prop42_indices(m: int, n: int, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     """Claimed index expressions for the line graph of M_{m,n} (subject ``prop42``)."""
     _check_range(m, n, "prop42")
     k = Fraction((m - 1) ** 2)
     m2 = 72 * (9 * n - 11) * (2 * n - 3) * k
     mm2 = Fraction(1, 100) * (10 * n - 3) * (10 * n - 7) * k
-    return ClosedFormIndexSet(
-        m1=Fraction(2 * (36 * n - 49) * (m - 1)),
-        m2=m2,
-        mm2=mm2,
-        r_alpha=_power(m2, alpha),
-        rr_alpha=_power(mm2, alpha),
-        sdd=Fraction(1, 72) * (48 * n * n - 42 * n + 1) * k,
-        alpha=alpha,
-    )
+    m1 = Fraction(2 * (36 * n - 49) * (m - 1))
+    sdd = Fraction(1, 72) * (48 * n * n - 42 * n + 1) * k
+    return _index_set(m1, m2, mm2, sdd, alphas)

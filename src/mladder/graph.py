@@ -2,17 +2,17 @@
 
 Vertices are the integers ``0 .. vertex_count-1``; edges are unordered
 pairs with no loops and no multiplicity (duplicates are rejected at
-construction, not merged).  On top of that sit the degree tally, the edge
-partition by endpoint-degree pairs, the M-polynomial, and the line-graph
-transform.  The line graph's M-polynomial is also tallied directly from
-this graph's edges, without building the line graph, in O(E) memory.
+construction, not merged).  On top of that sit the degree tally, the
+M-polynomial (edges tallied by their endpoint-degree pairs) and the
+line-graph transform.  The line graph's M-polynomial is also tallied
+directly from this graph's edges, without building the line graph, in
+O(E) memory.
 Graphs are immutable, so everything here is safe to share between workers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import chain, combinations, islice, starmap
 from operator import eq, itemgetter, lt
 from typing import Iterable
@@ -76,35 +76,19 @@ class Graph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def degree(self, vertex: int) -> int:
-        return self._degrees[vertex]
-
     def degrees(self) -> tuple[int, ...]:
         """Degree of every vertex, indexed by vertex identifier."""
         return self._degrees
 
-    def degree_multiset(self) -> dict[int, int]:
-        """Return the mapping degree -> number of vertices with that degree."""
-        return dict(sorted(Counter(self._degrees).items()))
-
-    def edge_degree_partition(self) -> dict[tuple[int, int], int]:
-        """Tally edges by the sorted degree pair of their endpoints.
-
-        Every edge ``(u, v)`` contributes one count to the key
-        ``(min(deg u, deg v), max(deg u, deg v))``; the counts sum to the
-        number of edges.
-        """
-        counts = Counter()
-        d = self._degrees
-        for u, v in self._edges:
-            counts[(d[u], d[v]) if d[u] <= d[v] else (d[v], d[u])] += 1
-        return dict(sorted(counts.items()))
-
     def m_polynomial(self) -> MPoly:
-        """Return the M-polynomial: one term ``m_ij * x^i y^j`` per degree pair."""
-        return MPoly(
-            {key: Fraction(count) for key, count in self.edge_degree_partition().items()}
-        )
+        """Return the M-polynomial: one term ``m_ij * x^i y^j`` per degree pair.
+
+        ``m_ij`` counts the edges whose endpoint degrees are ``i <= j``; the
+        coefficients sum to the number of edges.
+        """
+        d = self._degrees
+        pairs = ((d[u], d[v]) if d[u] <= d[v] else (d[v], d[u]) for u, v in self._edges)
+        return MPoly(Counter(pairs))
 
     def line_m_polynomial(self) -> MPoly:
         """Return the M-polynomial of the line graph, without building it.
@@ -131,7 +115,7 @@ class Graph:
             for a, count_a in seen:
                 counts[(a, k)] += count_a * c
             seen.append((k, c))
-        return MPoly({key: Fraction(count) for key, count in counts.items()})
+        return MPoly(counts)
 
     def line_graph(self) -> "Graph":
         """Return the line graph.
@@ -189,9 +173,6 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return self._n == other._n and self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._edges))
 
     def __repr__(self) -> str:
         return f"Graph(vertex_count={self._n}, edges={len(self._edges)})"

@@ -6,9 +6,9 @@ degree pairs and degree products with integer counts, and builds each
 exact term once per distinct value.  :func:`indices_from_mpoly` recovers
 the same quantities from an M-polynomial through the degree-weight
 operator calculus.  The edge route tallies for itself and never touches
-``MPoly``, ``weight_by`` or ``Graph.edge_degree_partition``: the two
-routes share no code path, so their agreement on a graph and its
-M-polynomial is a meaningful cross-check rather than a tautology.
+``MPoly``, ``weight_by`` or ``Graph.m_polynomial``: the two routes share
+no code path, so their agreement on a graph and its M-polynomial is a
+meaningful cross-check rather than a tautology.
 
 First Zagreb      M1  = sum (d_u + d_v)
 Second Zagreb     M2  = sum d_u * d_v

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Coefficient = Union[int, Fraction]
 
@@ -44,31 +44,22 @@ class MPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], Coefficient] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], Fraction] = {}
-        for key, coefficient in items:
+    def __init__(self, terms: Mapping[tuple[int, int], Coefficient] = {}):  # the default is only read
+        for key in terms:
             i, j = key
             if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {key!r}")
-            acc[(i, j)] = acc.get((i, j), Fraction(0)) + _as_fraction(coefficient)
-        self._terms = {key: c for key in sorted(acc) if (c := acc[key]) != 0}
+        self._terms = {key: c for key in sorted(terms) if (c := _as_fraction(terms[key])) != 0}
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
         """Term mapping as a fresh dict, in ascending ``(i, j)`` order."""
         return dict(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "MPoly") -> "MPoly":
         if not isinstance(other, MPoly):

@@ -131,14 +131,14 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def values_equal(a: Real, b: Real, rel_tol: float = REL_TOL) -> bool:
-    """Exact comparison for two rationals, relative tolerance otherwise."""
+def values_equal(a: Real, b: Real) -> bool:
+    """Exact comparison for two rationals, relative tolerance ``REL_TOL`` otherwise."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
     fa, fb = float(a), float(b)
     if fa == fb:
         return True
-    return abs(fa - fb) <= rel_tol * max(abs(fa), abs(fb))
+    return abs(fa - fb) <= REL_TOL * max(abs(fa), abs(fb))
 
 
 def _json_value(value: Optional[Real]):
@@ -216,53 +216,24 @@ def _mpoly_cases(subject: str, m: int, n: int, graph: Graph, formula) -> list[Ca
     return cases
 
 
-def verify_thm31(m_range: Optional[Range] = None,
-                 n_range: Optional[Range] = None) -> VerificationReport:
-    """Compare ladder M-polynomials with the claimed form; ranges as in :func:`verify_all`."""
-    return verify_all(subjects=("thm31",), m_range=m_range, n_range=n_range)
-
-
-def verify_thm32(m_range: Optional[Range] = None,
-                 n_range: Optional[Range] = None) -> VerificationReport:
-    """Compare line-graph M-polynomials with the claimed form; ranges as in :func:`verify_all`."""
-    return verify_all(subjects=("thm32",), m_range=m_range, n_range=n_range)
-
-
 def _index_cases(subject: str, m: int, n: int, oracle: IndexSet,
                  formula, alphas: Sequence[Alpha]) -> list[CaseResult]:
-    claimed_at = {a: formula(m, n, a) for a in alphas}
-    any_claim = claimed_at[alphas[0]]
-    claimed = IndexSet(
-        m1=any_claim.m1, m2=any_claim.m2, mm2=any_claim.mm2, sdd=any_claim.sdd,
-        r_alpha={a: c.r_alpha for a, c in claimed_at.items()},
-        rr_alpha={a: c.rr_alpha for a, c in claimed_at.items()},
-    )
     return [
         CaseResult(
             m=m, n=n, subject=subject, quantity=quantity,
             computed=got, closed_form=want,
             verdict="match" if values_equal(got, want) else "mismatch",
         )
-        for (quantity, got), (_, want) in zip(oracle.quantities(alphas), claimed.quantities(alphas))
+        for (quantity, got), (_, want) in zip(oracle.quantities(alphas),
+                                              formula(m, n, alphas).quantities(alphas))
     ]
-
-
-def verify_propositions(m_range: Optional[Range] = None,
-                        n_range: Optional[Range] = None,
-                        alphas: Iterable[Alpha] = (1,)) -> VerificationReport:
-    """Compare the claimed index expressions with edge-sum enumeration.
-
-    Covers both claim sets: the ladder's (``prop41``) and its line graph's
-    (``prop42``).  Ranges are handled as in :func:`verify_all`.
-    """
-    return verify_all(alphas, PROPOSITION_SUBJECTS, m_range, n_range)
 
 
 def verify_all(alphas: Iterable[Alpha] = (1,),
                subjects: Sequence[str] = THEOREM_SUBJECTS + PROPOSITION_SUBJECTS,
                m_range: Optional[Range] = None,
                n_range: Optional[Range] = None) -> VerificationReport:
-    """Run ``subjects`` over one grid and report every case.
+    """Run ``subjects`` (keys of :data:`SUBJECTS`) over one grid and report every case.
 
     Without ranges each subject runs on its default grid; explicit ranges
     apply to every subject, and points below a subject's stated domain are
@@ -273,6 +244,8 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
     alpha_list = list(dict.fromkeys(normalize_alpha(a) for a in alphas)) or [1]
     grids: dict[str, tuple[Range, Range]] = {}
     for subject in subjects:
+        if subject not in SUBJECTS:
+            raise InvalidParams(f"unknown subject {subject!r}; expected one of {', '.join(SUBJECTS)}")
         default = SUBJECTS[subject].grid
         grids[subject] = (m_range or default[0], n_range or default[1])
         _check_ranges(*grids[subject])

@@ -65,8 +65,8 @@ def test_prop41_values():
     assert s.m2 == 16 * (4 * 3 - 3) * (3 - 1) * 6 * 6
     assert s.mm2 == Fraction((6 * 3 - 1) * (6 * 3 + 1) * 36, 144)
     assert s.sdd == Fraction((48 * 9 - 42 * 3 + 1) * 36, 72)
-    assert s.r_alpha == s.m2
-    assert s.rr_alpha == s.mm2
+    assert s.r_alpha == {1: s.m2}
+    assert s.rr_alpha == {1: s.mm2}
 
 
 def test_prop42_values():
@@ -78,9 +78,12 @@ def test_prop42_values():
 
 
 def test_alpha_powers():
-    assert prop41_indices(7, 3, alpha=0).r_alpha == 1
-    assert prop41_indices(7, 3, alpha=2).r_alpha == prop41_indices(7, 3).m2 ** 2
-    assert prop41_indices(7, 3, alpha=0.5).r_alpha == pytest.approx(10368 ** 0.5)
+    s = prop41_indices(7, 3, alphas=(0, 2.0, 0.5))
+    assert list(s.r_alpha) == list(s.rr_alpha) == [0, 2, 0.5]  # 2.0 keyed as 2
+    assert s.r_alpha[0] == 1
+    assert s.r_alpha[2] == s.m2 ** 2
+    assert s.rr_alpha[2] == s.mm2 ** 2
+    assert s.r_alpha[0.5] == pytest.approx(10368 ** 0.5)
 
 
 @given(st.integers(4, 12), st.integers(2, 10))

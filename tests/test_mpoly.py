@@ -10,15 +10,9 @@ from mladder import MPoly, ZeroExponentWeight
 
 def test_empty_is_zero():
     p = MPoly()
-    assert not p
     assert p.terms == {}
     assert p.eval_at_one() == 0
     assert p.render("plain") == "0"
-
-
-def test_duplicate_keys_accumulate():
-    p = MPoly([((3, 3), 2), ((3, 3), 4)])
-    assert p.terms == {(3, 3): Fraction(6)}
 
 
 def test_zero_coefficients_are_dropped():

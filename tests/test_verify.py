@@ -3,14 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from mladder import (
-    InvalidParams,
-    values_equal,
-    verify_all,
-    verify_propositions,
-    verify_thm31,
-    verify_thm32,
-)
+from mladder import InvalidParams, values_equal, verify_all
+
+PROPS = ("prop41", "prop42")
 
 
 def test_values_equal():
@@ -22,13 +17,13 @@ def test_values_equal():
 
 
 def test_thm31_matches_oracle_above_n2():
-    report = verify_thm31((4, 12), (3, 10))
+    report = verify_all(subjects=("thm31",), m_range=(4, 12), n_range=(3, 10))
     assert report.summary["thm31"]["mismatch"] == 0
     assert report.theorem_mismatches() == 0
 
 
 def test_thm31_mismatch_at_n2():
-    report = verify_thm31((5, 5), (2, 2))
+    report = verify_all(subjects=("thm31",), m_range=(5, 5), n_range=(2, 2))
     rows = {c.quantity: c for c in report.cases}
     bad = rows["x^4*y^4"]
     assert bad.verdict == "mismatch"
@@ -38,12 +33,12 @@ def test_thm31_mismatch_at_n2():
 
 
 def test_thm32_matches_oracle():
-    report = verify_thm32((4, 10), (4, 10))
+    report = verify_all(subjects=("thm32",), m_range=(4, 10), n_range=(4, 10))
     assert report.summary["thm32"]["mismatch"] == 0
 
 
 def test_thm32_skips_below_stated_range():
-    report = verify_thm32((4, 4), (2, 4))
+    report = verify_all(subjects=("thm32",), m_range=(4, 4), n_range=(2, 4))
     skipped = [c for c in report.cases if c.verdict == "out-of-domain"]
     assert [(c.m, c.n) for c in skipped] == [(4, 2), (4, 3)]
     assert all(c.quantity == "all" for c in skipped)
@@ -51,7 +46,7 @@ def test_thm32_skips_below_stated_range():
 
 
 def test_propositions_surface_mismatches():
-    report = verify_propositions((7, 7), (3, 3))
+    report = verify_all(subjects=PROPS, m_range=(7, 7), n_range=(3, 3))
     rows = {(c.subject, c.quantity): c for c in report.cases}
     m1 = rows[("prop41", "m1")]
     assert m1.computed == Fraction(204)
@@ -61,14 +56,14 @@ def test_propositions_surface_mismatches():
 
 
 def test_prop42_m1_agrees():
-    report = verify_propositions((4, 10), (4, 10))
+    report = verify_all(subjects=PROPS, m_range=(4, 10), n_range=(4, 10))
     m1_rows = [c for c in report.cases if c.subject == "prop42" and c.quantity == "m1"]
     assert m1_rows
     assert all(c.verdict == "match" for c in m1_rows)
 
 
 def test_proposition_mismatches_do_not_gate():
-    report = verify_propositions((7, 7), (3, 3))
+    report = verify_all(subjects=PROPS, m_range=(7, 7), n_range=(3, 3))
     assert report.summary["prop41"]["mismatch"] > 0
     assert report.theorem_mismatches() == 0
 
@@ -87,7 +82,7 @@ def test_report_is_deterministic():
 
 
 def test_json_shape():
-    report = verify_thm31((5, 5), (3, 3))
+    report = verify_all(subjects=("thm31",), m_range=(5, 5), n_range=(3, 3))
     data = json.loads(report.to_json())
     assert isinstance(data, list)
     record = data[0]
@@ -97,7 +92,7 @@ def test_json_shape():
 
 
 def test_text_layout():
-    report = verify_thm31((5, 5), (3, 3))
+    report = verify_all(subjects=("thm31",), m_range=(5, 5), n_range=(3, 3))
     lines = report.to_text().splitlines()
     assert lines[0].split() == ["subject", "m", "n", "quantity", "oracle",
                                 "paper", "verdict"]
@@ -113,14 +108,19 @@ def test_empty_report_text():
 
 def test_rejects_bad_ranges():
     with pytest.raises(InvalidParams):
-        verify_thm31((6, 4), (3, 3))
+        verify_all(subjects=("thm31",), m_range=(6, 4), n_range=(3, 3))
     with pytest.raises(InvalidParams):
-        verify_thm31((3, 5), (3, 3))
+        verify_all(subjects=("thm31",), m_range=(3, 5), n_range=(3, 3))
     with pytest.raises(InvalidParams):
-        verify_thm32((4, 4), (1, 4))
+        verify_all(subjects=("thm32",), m_range=(4, 4), n_range=(1, 4))
 
 
 def test_duplicate_alphas_are_checked_once():
-    report = verify_propositions((4, 4), (4, 4), alphas=(1, 1.0))
+    report = verify_all(subjects=PROPS, m_range=(4, 4), n_range=(4, 4), alphas=(1, 1.0))
     assert sum(report.summary["prop41"].values()) == 6
-    assert report == verify_propositions((4, 4), (4, 4), alphas=(1,))
+    assert report == verify_all(subjects=PROPS, m_range=(4, 4), n_range=(4, 4), alphas=(1,))
+
+
+def test_rejects_unknown_subject():
+    with pytest.raises(InvalidParams, match=r"unknown subject 'bogus'.*thm31, thm32, prop41, prop42"):
+        verify_all(subjects=("bogus",))
