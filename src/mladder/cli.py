@@ -180,8 +180,7 @@ def _cmd_indices(args, parser) -> tuple[str, int]:
     else:
         from_edges = indices_from_edges(g, alphas)
         from_mpoly = indices_from_mpoly(g.m_polynomial(), alphas)
-    rows = [(q, a, b) for (q, a), (_, b) in zip(from_edges.quantities(alphas),
-                                                 from_mpoly.quantities(alphas))]
+    rows = from_edges.paired(from_mpoly, alphas)
     if args.format == "json":
         payload = {
             "from_edges": _indexset_json(from_edges, alphas),

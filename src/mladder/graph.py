@@ -22,14 +22,6 @@ from .mpoly import MPoly
 Edge = tuple[int, int]
 
 
-def _bad_ids(pairs) -> ValueError:
-    """The error for the first pair in ``pairs`` with an id that is not an int."""
-    for u, v in pairs:
-        if type(u) is not int or type(v) is not int:
-            return ValueError(f"vertex identifiers must be integers, got ({u!r}, {v!r})")
-    return ValueError("vertex identifiers must be integers")
-
-
 class Graph:
     """Immutable simple graph with contiguous integer vertex identifiers."""
 
@@ -38,17 +30,16 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
         if type(vertex_count) is not int or vertex_count < 0:
             raise ValueError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
-        # Checked in bulk on the sorted list rather than edge by edge: a
-        # loop is an edge that is not strictly ordered, a duplicate is equal
-        # to its sorted neighbour.  ``type(x) is int`` also rejects bools.
-        pairs = None
-        try:
-            pairs = [(u, v) if u < v else (v, u) for u, v in edges]
-            pairs.sort()
-        except TypeError:  # ids that do not compare, such as int and str
-            raise _bad_ids(edges if pairs is None else pairs) from None
-        if not all(type(u) is int and type(v) is int for u, v in pairs):
-            raise _bad_ids(pairs)
+        # Checked in bulk rather than edge by edge, ids first so that the
+        # sort only ever compares ints (``type(x) is int`` also rejects
+        # bools).  On the sorted list a loop is an edge that is not strictly
+        # ordered, and a duplicate is equal to its sorted neighbour.
+        edges = list(edges)
+        if not all(type(u) is int and type(v) is int for u, v in edges):
+            u, v = next((u, v) for u, v in edges if type(u) is not int or type(v) is not int)
+            raise ValueError(f"vertex identifiers must be integers, got ({u!r}, {v!r})")
+        pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+        pairs.sort()
         if pairs and (pairs[0][0] < 0 or max(map(itemgetter(1), pairs)) >= vertex_count):
             u, v = next(e for e in pairs if e[0] < 0 or e[1] >= vertex_count)
             raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")

@@ -58,22 +58,22 @@ class IndexSet:
     r_alpha: dict[Alpha, Real]
     rr_alpha: dict[Alpha, Real]
 
-    def quantities(self, alphas: Iterable[Alpha]) -> list[tuple[str, Real]]:
-        """The indices as ``(label, value)`` pairs, in the order reports print them.
+    def paired(self, other: "IndexSet", alphas: Iterable[Alpha]) -> list[tuple[str, Real, Real]]:
+        """``(label, value here, value in other)`` triples, in the order reports print them.
 
         ``m1``, ``m2``, ``mm2``, ``sdd``, then ``r_alpha[a]`` and
         ``rr_alpha[a]`` for each alpha in turn (labels from
-        :func:`alpha_label`).  Both index routes and the closed forms are
-        laid out through this one method, so their rows line up by position.
+        :func:`alpha_label`).  Neither index route calls this, so the two
+        stay independent; it only lines their results (or the closed
+        forms) up row by row.
         """
-        pairs: list[tuple[str, Real]] = [
-            ("m1", self.m1), ("m2", self.m2), ("mm2", self.mm2), ("sdd", self.sdd),
-        ]
+        rows = [(name, getattr(self, name), getattr(other, name))
+                for name in ("m1", "m2", "mm2", "sdd")]
         for a in alphas:
             label = alpha_label(a)
-            pairs.append((f"r_alpha[{label}]", self.r_alpha[a]))
-            pairs.append((f"rr_alpha[{label}]", self.rr_alpha[a]))
-        return pairs
+            rows.append((f"r_alpha[{label}]", self.r_alpha[a], other.r_alpha[a]))
+            rows.append((f"rr_alpha[{label}]", self.rr_alpha[a], other.rr_alpha[a]))
+        return rows
 
 
 def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:

@@ -8,22 +8,29 @@ enumeration) and "paper" (the claimed expression), and proposition
 disagreements are findings, not failures.  Reports are fully ordered, so
 identical inputs always produce byte-identical output.
 
-Verdicts are exact for rational quantities and use a relative tolerance
-of 1e-12 for float quantities (non-integer alpha).  Grid points below a
-claim's stated domain are recorded as ``out-of-domain`` rather than
-compared.
+Every subject yields ``(quantity, oracle, paper)`` rows -- one per
+M-polynomial term for a theorem, one per index for a proposition -- and
+:func:`verify_all` turns all of them into cases in one place.  There is
+one verdict rule, :func:`values_equal`: exact for two rationals, a
+relative tolerance of 1e-12 otherwise (float quantities, non-integer
+alpha), and never equal when a side is infinite or NaN.  Grid points
+below a claim's stated domain are recorded as ``out-of-domain`` rather
+than compared.  A float that overflowed to infinity is not rendered: the
+formatters raise ``OverflowError`` instead.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from . import closed_forms
 from .graph import Graph
-from .indices import Alpha, IndexSet, Real, indices_from_edges, normalize_alpha
+from .indices import Alpha, Real, indices_from_edges, normalize_alpha
 from .ladder import MIN_M, MIN_N, InvalidParams, build_ladder
 
 Range = tuple[int, int]
@@ -135,10 +142,14 @@ def values_equal(a: Real, b: Real) -> bool:
     """Exact comparison for two rationals, relative tolerance ``REL_TOL`` otherwise."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
-    fa, fb = float(a), float(b)
-    if fa == fb:
-        return True
-    return abs(fa - fb) <= REL_TOL * max(abs(fa), abs(fb))
+    return math.isclose(float(a), float(b), rel_tol=REL_TOL)
+
+
+def _finite(value: float) -> float:
+    """``value`` itself; a float sum that overflowed raises ``OverflowError``."""
+    if not math.isfinite(value):
+        raise OverflowError(f"non-finite value {value!r}")
+    return value
 
 
 def _json_value(value: Optional[Real]):
@@ -146,7 +157,7 @@ def _json_value(value: Optional[Real]):
         return None
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    return value
+    return _finite(value)
 
 
 def _text_value(value: Optional[Real]) -> str:
@@ -154,7 +165,7 @@ def _text_value(value: Optional[Real]) -> str:
         return "-"
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    return repr(value)
+    return repr(_finite(value))
 
 
 def _table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
@@ -186,47 +197,19 @@ def _check_ranges(m_range: Range, n_range: Range) -> None:
         )
 
 
-def _grid(m_range: Range, n_range: Range):
-    for m in range(m_range[0], m_range[1] + 1):
-        for n in range(n_range[0], n_range[1] + 1):
-            yield m, n
+def _rows(subject: str, m: int, n: int, g: Graph, formula,
+          alphas: Sequence[Alpha]) -> list[tuple[str, Real, Real]]:
+    """One subject's ``(quantity, oracle, paper)`` rows at one grid point.
 
-
-def _skip_case(subject: str, m: int, n: int) -> CaseResult:
-    return CaseResult(
-        m=m, n=n, subject=subject, quantity="all",
-        computed=None, closed_form=None, verdict="out-of-domain",
-    )
-
-
-def _mpoly_cases(subject: str, m: int, n: int, graph: Graph, formula) -> list[CaseResult]:
-    oracle = graph.m_polynomial().terms
-    claimed = formula(m, n).terms
-    cases = []
-    for key in sorted(set(oracle) | set(claimed)):
-        got = oracle.get(key, Fraction(0))
-        want = claimed.get(key, Fraction(0))
-        cases.append(
-            CaseResult(
-                m=m, n=n, subject=subject, quantity=f"x^{key[0]}*y^{key[1]}",
-                computed=got, closed_form=want,
-                verdict="match" if got == want else "mismatch",
-            )
-        )
-    return cases
-
-
-def _index_cases(subject: str, m: int, n: int, oracle: IndexSet,
-                 formula, alphas: Sequence[Alpha]) -> list[CaseResult]:
-    return [
-        CaseResult(
-            m=m, n=n, subject=subject, quantity=quantity,
-            computed=got, closed_form=want,
-            verdict="match" if values_equal(got, want) else "mismatch",
-        )
-        for (quantity, got), (_, want) in zip(oracle.quantities(alphas),
-                                              formula(m, n, alphas).quantities(alphas))
-    ]
+    A theorem gives one row per exponent pair in either polynomial, a
+    term missing on one side read as zero; a proposition gives the index
+    rows of :meth:`IndexSet.paired`.
+    """
+    if subject in THEOREM_SUBJECTS:
+        oracle, paper = g.m_polynomial().terms, formula(m, n).terms
+        return [(f"x^{i}*y^{j}", oracle.get((i, j), Fraction(0)), paper.get((i, j), Fraction(0)))
+                for i, j in sorted(oracle.keys() | paper.keys())]
+    return indices_from_edges(g, alphas).paired(formula(m, n, alphas), alphas)
 
 
 def verify_all(alphas: Iterable[Alpha] = (1,),
@@ -250,26 +233,30 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
         grids[subject] = (m_range or default[0], n_range or default[1])
         _check_ranges(*grids[subject])
     cases: list[CaseResult] = []
-    for m, n in sorted({point for grid in grids.values() for point in _grid(*grid)}):
+    points = {p for (m_lo, m_hi), (n_lo, n_hi) in grids.values()
+              for p in product(range(m_lo, m_hi + 1), range(n_lo, n_hi + 1))}
+    for m, n in sorted(points):
         ladder = line = None
         for subject, ((m_lo, m_hi), (n_lo, n_hi)) in grids.items():
             if not (m_lo <= m <= m_hi and n_lo <= n <= n_hi):
                 continue
             spec = SUBJECTS[subject]
             if n < closed_forms.STATED_MIN_N[subject]:
-                cases.append(_skip_case(subject, m, n))
-                continue
-            if ladder is None:
-                ladder = build_ladder(m, n)
-            g = ladder
-            if spec.line:
-                if line is None:
-                    line = ladder.line_graph()
-                g = line
-            formula = getattr(closed_forms, spec.formula)
-            if subject in THEOREM_SUBJECTS:
-                cases.extend(_mpoly_cases(subject, m, n, g, formula))
+                rows = [("all", None, None)]
             else:
-                oracle = indices_from_edges(g, alpha_list)
-                cases.extend(_index_cases(subject, m, n, oracle, formula, alpha_list))
+                if ladder is None:
+                    ladder = build_ladder(m, n)
+                g = ladder
+                if spec.line:
+                    if line is None:
+                        line = ladder.line_graph()
+                    g = line
+                rows = _rows(subject, m, n, g, getattr(closed_forms, spec.formula), alpha_list)
+            cases.extend(
+                CaseResult(m=m, n=n, subject=subject, quantity=quantity,
+                           computed=got, closed_form=want,
+                           verdict="out-of-domain" if got is None
+                           else "match" if values_equal(got, want) else "mismatch")
+                for quantity, got, want in rows
+            )
     return _make_report(cases)

@@ -164,6 +164,7 @@ def test_constructor_matches_reference_on_valid_graphs(g):
     ([(0, 1.0)], r"vertex identifiers must be integers, got \(0, 1.0\)"),
     ([(0, 1), (0, "a")], r"vertex identifiers must be integers, got \(0, 'a'\)"),
     ([("a", "b")], r"vertex identifiers must be integers, got \('a', 'b'\)"),
+    (iter([(0, 1), ("a", 2)]), r"vertex identifiers must be integers, got \('a', 2\)"),
 ])
 def test_constructor_messages(edges, message):
     with pytest.raises(ValueError, match=message):

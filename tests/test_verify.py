@@ -14,6 +14,12 @@ def test_values_equal():
     assert values_equal(2.0, 2.0 * (1 + 1e-15))
     assert not values_equal(2.0, 2.0 * (1 + 1e-9))
     assert values_equal(Fraction(2), 2.0)
+    inf = float("inf")
+    assert values_equal(inf, inf)
+    assert not values_equal(1.0, inf)
+    assert not values_equal(inf, 0.0)
+    assert not values_equal(inf, -inf)
+    assert not values_equal(Fraction(10) ** 300, inf)
 
 
 def test_thm31_matches_oracle_above_n2():
