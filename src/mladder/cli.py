@@ -26,6 +26,7 @@ from .indices import (
     Alpha,
     IndexSet,
     alpha_label,
+    check_graph_alphas,
     indices_from_edges,
     indices_from_mpoly,
     normalize_alpha,
@@ -174,12 +175,10 @@ def _cmd_indices(args, parser) -> tuple[str, int]:
     alphas = _alphas(args)
     # With --line the two routes share not even the line graph: the edge
     # sum runs over the built line graph, the polynomial is tallied from g.
-    if args.line:
-        from_edges = indices_from_edges(g.line_graph(), alphas)
-        from_mpoly = indices_from_mpoly(g.line_m_polynomial(), alphas)
-    else:
-        from_edges = indices_from_edges(g, alphas)
-        from_mpoly = indices_from_mpoly(g.m_polynomial(), alphas)
+    summed = g.line_graph() if args.line else g
+    check_graph_alphas(summed, alphas)
+    from_edges = indices_from_edges(summed, alphas)
+    from_mpoly = indices_from_mpoly(g.line_m_polynomial() if args.line else g.m_polynomial(), alphas)
     rows = from_edges.paired(from_mpoly, alphas)
     if args.format == "json":
         payload = {

@@ -5,14 +5,14 @@ pairs with no loops and no multiplicity (duplicates are rejected at
 construction, not merged).  On top of that sit the degree tally, the
 M-polynomial (edges tallied by their endpoint-degree pairs) and the
 line-graph transform.  The line graph's M-polynomial is also tallied
-directly from this graph's edges, without building the line graph, in
-O(E) memory.
+without building it, once per distinct neighbour-degree profile of a
+vertex; only vertices with edges have one, so memory stays O(E).
 Graphs are immutable, so everything here is safe to share between workers.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import chain, combinations, islice, starmap
 from operator import eq, itemgetter, lt
 from typing import Iterable
@@ -84,28 +84,28 @@ class Graph:
     def line_m_polynomial(self) -> MPoly:
         """Return the M-polynomial of the line graph, without building it.
 
-        The line-graph vertex ``uv`` has degree ``d_u + d_v - 2``, and the
-        line-graph edges are the pairs of edges that share an endpoint.  So
-        each vertex contributes ``C(c_a, 2)`` edges to the degree pair
-        ``(a, a)`` and ``c_a * c_b`` to ``(a, b)``, ``a < b``, where ``c_k``
-        counts its incident edges of line degree ``k``.  One tally keyed by
-        ``(vertex, k)`` keeps memory O(E) however many vertices there are.
+        The line-graph vertex ``wx`` has degree ``d_w + d_x - 2`` and the
+        line-graph edges are the pairs of edges sharing an endpoint, so each
+        vertex ``w`` adds ``C(c_a, 2)`` to ``(a, a)`` and ``c_a * c_b`` to
+        ``(a, b)``, ``a < b``, where ``c_k`` counts its edges of line degree
+        ``k``.  That tally depends only on ``w``'s sorted neighbour degrees
+        (``d_w`` of them), so it is done once per distinct profile, times
+        its multiplicity.  Only vertices with edges get a profile: O(E) memory.
         """
         d = self._degrees
-        around = Counter()
+        neighbours = defaultdict(list)
         for u, v in self._edges:
-            k = d[u] + d[v] - 2
-            around[(u, k)] += 1
-            around[(v, k)] += 1
+            neighbours[u].append(d[v])
+            neighbours[v].append(d[u])
         counts = Counter()
-        vertex, seen = None, []  # seen: the (a, c_a) of this vertex with a < k
-        for (w, k), c in sorted(around.items()):
-            if w != vertex:
-                vertex, seen = w, []
-            counts[(k, k)] += c * (c - 1) // 2
-            for a, count_a in seen:
-                counts[(a, k)] += count_a * c
-            seen.append((k, c))
+        for profile, mult in Counter(tuple(sorted(x)) for x in neighbours.values()).items():
+            shift = len(profile) - 2
+            tally = list(Counter(profile).items())  # (neighbour degree, count), ascending
+            for i, (x, c) in enumerate(tally):
+                a = shift + x
+                counts[(a, a)] += mult * c * (c - 1) // 2
+                for y, c_y in tally[i + 1:]:
+                    counts[(a, shift + y)] += mult * c * c_y
         return MPoly(counts)
 
     def line_graph(self) -> "Graph":

@@ -19,10 +19,14 @@ Symmetric division          SDD  = sum (min/max + max/min)
 
 Integer alpha is computed exactly in rational arithmetic; non-integer
 alpha in double precision (compare with a relative tolerance of 1e-12).
+Callers check an integer alpha with :func:`check_alpha_digits` before
+either route raises anything to its power.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +49,38 @@ def normalize_alpha(alpha: Alpha) -> Alpha:
 def alpha_label(alpha: Alpha) -> str:
     """Canonical text label for an alpha value ("1", "0.5", "-2", ...)."""
     return repr(normalize_alpha(alpha))
+
+
+def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> None:
+    """Refuse an integer alpha whose exact values would be too long to print.
+
+    The caller vouches that every value it prints is a sum of ``terms``
+    powers ``p ** a`` or ``p ** -a``, each ``p`` dividing ``base``; its
+    numerator and denominator then have at most ``|a| * log10(base) +
+    log10(terms) + 1`` digits.  Above ``sys.get_int_max_str_digits()``
+    Python refuses to print an int, so such an alpha raises ``ValueError``
+    here, before any power exists, which also bounds the work.  Float
+    alpha is not checked: its powers overflow to ``OverflowError``.
+    """
+    # 0 (no limit) would let one flag take unbounded time; keep the default.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    for a in alphas:
+        if not isinstance(a, int):
+            continue
+        digits = abs(a) * math.log10(base) + math.log10(max(terms, 1)) + 1
+        if digits > limit:
+            raise ValueError(f"alpha {a} is too large for exact arithmetic: its values would have "
+                             f"up to {digits:.0f} digits, over the limit of {limit} digits "
+                             "for printing an integer")
+
+
+def check_graph_alphas(g: Graph, alphas: Iterable[Alpha]) -> None:
+    """:func:`check_alpha_digits` for the indices of ``g``.
+
+    Every degree product ``d_u * d_v`` divides the square of the lcm of the
+    degrees, and each index sums one term per edge.
+    """
+    check_alpha_digits(alphas, math.lcm(*filter(None, set(g.degrees()))) ** 2, g.edge_count)
 
 
 @dataclass(frozen=True)

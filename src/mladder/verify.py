@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import closed_forms
 from .graph import Graph
-from .indices import Alpha, Real, indices_from_edges, normalize_alpha
+from .indices import Alpha, Real, check_graph_alphas, indices_from_edges, normalize_alpha
 from .ladder import MIN_M, MIN_N, InvalidParams, build_ladder
 
 Range = tuple[int, int]
@@ -209,7 +209,9 @@ def _rows(subject: str, m: int, n: int, g: Graph, formula,
         oracle, paper = g.m_polynomial().terms, formula(m, n).terms
         return [(f"x^{i}*y^{j}", oracle.get((i, j), Fraction(0)), paper.get((i, j), Fraction(0)))
                 for i, j in sorted(oracle.keys() | paper.keys())]
-    return indices_from_edges(g, alphas).paired(formula(m, n, alphas), alphas)
+    check_graph_alphas(g, alphas)
+    paper = formula(m, n, alphas)  # first: its alpha check precedes every power here
+    return indices_from_edges(g, alphas).paired(paper, alphas)
 
 
 def verify_all(alphas: Iterable[Alpha] = (1,),

@@ -210,3 +210,28 @@ def test_float_overflow_exit_2(argv):
         "use a smaller |alpha|"
     ]
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["indices", "--m", "5", "--n", "3", "--alpha", "1e4"],
+    ["verify", "--subject", "props", "--m-range", "4:4", "--n-range", "3:3", "--alpha", "1e4"],
+    ["indices", "--m", "5", "--n", "3", "--alpha=1e9"],
+    ["indices", "--m", "5", "--n", "4", "--line", "--alpha=-1e4"],
+    # The line graph's products pass; the closed form's M2 = 81000 does not.
+    ["verify", "--subject", "props", "--m-range", "4:4", "--n-range", "4:4", "--alpha", "1000"],
+])
+def test_huge_integral_alpha_exit_2(argv):
+    # Refused before any exact power is computed, so even 1e9 returns at once.
+    proc = subprocess.run([sys.executable, "-m", "mladder.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    alpha = int(float(argv[-1].removeprefix("--alpha=")))
+    assert proc.stderr.startswith(f"mladder {argv[0]}: error: alpha {alpha} is too large")
+    assert f"over the limit of {sys.get_int_max_str_digits() or 4300} digits" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
+
+
+def test_largest_printable_integral_alpha_still_exact(capsys):
+    # 1990 * log10(144) is about 4290 digits: just under the default limit.
+    assert main(["indices", "--m", "5", "--n", "3", "--alpha", "1990", "--format", "json"]) == 0
+    assert all(json.loads(capsys.readouterr().out)["agreement"].values())

@@ -5,10 +5,14 @@ its edges in bulk on a sorted list.  The references below are the plain
 per-edge loops those replaced; both versions must give the same values
 (exactly, and bit for bit for float alpha) and accept and reject the same
 edge lists.  ``Graph.line_m_polynomial`` tallies the line graph's
-M-polynomial from the degree-transfer law; it must equal the M-polynomial
-of the materialized line graph.
+M-polynomial from the degree-transfer law once per neighbour-degree
+profile; it must equal both the per-vertex tally it replaced and the
+M-polynomial of the materialized line graph.
 """
 
+import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -65,6 +69,46 @@ def reference_graph(vertex_count, edges):
     return tuple(sorted(normalized)), tuple(degrees)
 
 
+def reference_line_mpoly(g):
+    """One tally keyed by ``(vertex, line degree)``, then the pairs vertex by vertex."""
+    d = g.degrees()
+    around = Counter()
+    for u, v in g.edges:
+        k = d[u] + d[v] - 2
+        around[(u, k)] += 1
+        around[(v, k)] += 1
+    counts = Counter()
+    vertex, seen = None, []  # seen: the (a, c_a) of this vertex with a < k
+    for (w, k), c in sorted(around.items()):
+        if w != vertex:
+            vertex, seen = w, []
+        counts[(k, k)] += c * (c - 1) // 2
+        for a, count_a in seen:
+            counts[(a, k)] += count_a * c
+        seen.append((k, c))
+    return MPoly(counts)
+
+
+def hub_graph(seed, vertices=2000, background_edges=4000, hubs=4, hub_degree=60):
+    """Random background edges plus a few hubs: many vertices share a neighbour-degree
+    profile, and the hubs' neighbours have high-degree profiles."""
+    rng = random.Random(seed)
+    hub_ids = rng.sample(range(vertices), hubs)
+    others = [v for v in range(vertices) if v not in hub_ids]
+    edges = set()
+    while len(edges) < background_edges:
+        u, v = rng.sample(others, 2)
+        edges.add((min(u, v), max(u, v)))
+    edges.update((h, v) for h in hub_ids for v in rng.sample(others, hub_degree))
+    return Graph(vertices, edges)
+
+
+def assert_same_line_mpoly(g):
+    got = g.line_m_polynomial()
+    assert got == reference_line_mpoly(g)
+    assert got == g.line_graph().m_polynomial()
+
+
 def assert_same_indices(g, alphas):
     got = indices_from_edges(g, alphas)
     m1, m2, mm2, sdd, r, rr = reference_indices(g, alphas)
@@ -97,7 +141,7 @@ def test_line_mpoly_matches_line_graph_on_corpus():
     # The corpus holds ladders with n = 2, 3 (below the stated domain) and
     # every ladder's line graph, so this also covers line graphs of line graphs.
     for g in corpus():
-        assert g.line_m_polynomial() == g.line_graph().m_polynomial()
+        assert_same_line_mpoly(g)
 
 
 @pytest.mark.parametrize("g", [
@@ -106,9 +150,21 @@ def test_line_mpoly_matches_line_graph_on_corpus():
     Graph(2, [(0, 1)]),
     star_graph(300),
     Graph(9, path_graph(6).edges),
-], ids=["empty", "isolated-only", "single-edge", "star-300", "path-with-isolated"])
+    hub_graph(seed=2015),
+], ids=["empty", "isolated-only", "single-edge", "star-300", "path-with-isolated", "hubs"])
 def test_line_mpoly_edge_cases(g):
-    assert g.line_m_polynomial() == g.line_graph().m_polynomial()
+    assert_same_line_mpoly(g)
+
+
+def test_line_mpoly_memory_does_not_grow_with_vertex_count():
+    g = Graph(10**6, [(0, 1), (1, 2), (2, 3)])
+    tracemalloc.start()
+    try:
+        assert g.line_m_polynomial() == MPoly({(1, 2): 2})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024  # one byte per vertex would already be 1e6 bytes
 
 
 def test_line_mpoly_of_star_and_single_edge():
@@ -118,7 +174,7 @@ def test_line_mpoly_of_star_and_single_edge():
 
 @given(simple_graphs())
 def test_line_mpoly_matches_line_graph(g):
-    assert g.line_m_polynomial() == g.line_graph().m_polynomial()
+    assert_same_line_mpoly(g)
 
 
 # Vertex ids the reference rejects or accepts; bools are left out here
