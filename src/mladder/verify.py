@@ -96,20 +96,24 @@ class VerificationReport:
         )
 
     def to_json(self) -> str:
-        """Serialize as a JSON array of case records."""
-        records = [
-            {
-                "m": c.m,
-                "n": c.n,
-                "subject": c.subject,
-                "quantity": c.quantity,
-                "computed": _json_value(c.computed),
-                "closed_form": _json_value(c.closed_form),
-                "verdict": c.verdict,
-            }
+        """Serialize as a JSON array of case records.
+
+        The layout is exactly that of ``json.dumps(records, indent=2)``
+        over records with the keys ``m, n, subject, quantity, computed,
+        closed_form, verdict``.  It is laid out here from one template per
+        record because ``json`` uses its C encoder only without ``indent``,
+        and its pure-Python indenting encoder took most of the rendering
+        time of a large report.  Strings still go through ``json.dumps``,
+        so their escaping is the encoder's own.
+        """
+        if not self.cases:
+            return "[]"
+        return "[\n" + ",\n".join(
+            _JSON_RECORD.format(c.m, c.n, json.dumps(c.subject), json.dumps(c.quantity),
+                                _json_text(c.computed), _json_text(c.closed_form),
+                                json.dumps(c.verdict))
             for c in self.cases
-        ]
-        return json.dumps(records, indent=2)
+        ) + "\n]"
 
     def to_text(self) -> str:
         """Render an aligned plain-text table followed by a summary block."""
@@ -158,6 +162,22 @@ def _json_value(value: Optional[Real]):
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
     return _finite(value)
+
+
+# One record as ``json.dumps(records, indent=2)`` lays it out, values left open.
+_JSON_RECORD = (
+    '  {{\n    "m": {},\n    "n": {},\n    "subject": {},\n    "quantity": {},\n'
+    '    "computed": {},\n    "closed_form": {},\n    "verdict": {}\n  }}'
+)
+
+
+def _json_text(value: Optional[Real]) -> str:
+    """``_json_value(value)`` as ``json.dumps(..., indent=2)`` writes it inside a record."""
+    if value is None:
+        return "null"
+    if isinstance(value, Fraction):
+        return f'{{\n      "num": {value.numerator},\n      "den": {value.denominator}\n    }}'
+    return repr(_finite(value))
 
 
 def _text_value(value: Optional[Real]) -> str:

@@ -199,6 +199,8 @@ def test_non_numeric_alpha_exit_2(capsys):
     ["indices", "--m", "5", "--n", "3", "--alpha=255.9"],
     ["indices", "--m", "5", "--n", "3", "--alpha=255.9", "--format", "json"],
     ["verify", "--subject", "props", "--m-range", "4:4", "--n-range", "3:3", "--alpha=-255.9"],
+    ["verify", "--subject", "props", "--m-range", "4:4", "--n-range", "3:3", "--alpha=-255.9",
+     "--format", "json"],
 ])
 def test_float_overflow_exit_2(argv):
     proc = subprocess.run([sys.executable, "-m", "mladder.cli", *argv],

@@ -7,9 +7,12 @@ per-edge loops those replaced; both versions must give the same values
 edge lists.  ``Graph.line_m_polynomial`` tallies the line graph's
 M-polynomial from the degree-transfer law once per neighbour-degree
 profile; it must equal both the per-vertex tally it replaced and the
-M-polynomial of the materialized line graph.
+M-polynomial of the materialized line graph.  ``VerificationReport.to_json``
+lays its records out from a template; it must give the very bytes of
+``json.dumps(records, indent=2)``, which it replaced.
 """
 
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -19,7 +22,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mladder import Graph, MPoly, indices_from_edges, normalize_alpha
+from mladder import Graph, MPoly, indices_from_edges, normalize_alpha, verify_all
+from mladder.verify import CaseResult, VerificationReport, _json_value
 
 from conftest import path_graph, star_graph
 from test_acceptance import EXACT_ALPHAS, FLOAT_ALPHAS, corpus
@@ -232,3 +236,45 @@ def test_bool_vertex_ids_are_rejected():
         Graph(3, [(True, 2), (0, 1)])
     with pytest.raises(ValueError, match="vertex identifiers must be integers"):
         Graph(3, [(0, False)])
+
+
+def reference_report_json(report):
+    """The case records laid out by ``json``'s own indenting encoder."""
+    return json.dumps([
+        {
+            "m": c.m,
+            "n": c.n,
+            "subject": c.subject,
+            "quantity": c.quantity,
+            "computed": _json_value(c.computed),
+            "closed_form": _json_value(c.closed_form),
+            "verdict": c.verdict,
+        }
+        for c in report.cases
+    ], indent=2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"alphas": (1, 0.5, -1.5, 1e-05)},
+    {"subjects": ()},
+], ids=["default", "float-alphas", "empty"])
+def test_report_json_matches_json_dumps(kwargs):
+    report = verify_all(**kwargs)
+    assert report.to_json() == reference_report_json(report)
+
+
+report_values = st.none() | st.sampled_from([5e-324, 1e16, 1.7976931348623157e308, -0.0]) \
+    | st.floats(allow_nan=False, allow_infinity=False) \
+    | st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+labels = st.sampled_from(['r_alpha[0.5]', 'say "hi"', 'back\\slash', 'Randi\u0107', 'x\ty\n']) | st.text()
+
+
+@given(st.lists(st.builds(
+    CaseResult, m=st.integers(-10**20, 10**20), n=st.integers(0, 10**6), subject=labels,
+    quantity=labels, computed=report_values, closed_form=report_values,
+    verdict=st.sampled_from(["match", "mismatch", "out-of-domain"]) | labels,
+), max_size=6))
+def test_report_json_matches_json_dumps_on_any_cases(cases):
+    report = VerificationReport(cases=tuple(cases), summary={})
+    assert report.to_json() == reference_report_json(report)
