@@ -6,7 +6,9 @@ expressions for each.  Everything is implemented exactly as stated, with
 no corrections, so the verify harness can compare each claim against
 brute-force graph enumeration and report where they agree and where they
 do not.  The M-polynomial forms return an ``MPoly`` and the index forms
-an ``IndexSet``, the same types the enumeration routes produce.  The
+an ``IndexSet``, the same types the enumeration routes produce.  Each
+index expression is evaluated in integers, with its one stated divisor
+(144, 100 or 72) applied as a single ``Fraction`` at the end.  The
 subject labels used in reports are ``thm31``/``thm32`` for the two
 M-polynomial forms and ``prop41``/``prop42`` for the index sets.
 """
@@ -92,20 +94,20 @@ def prop41_indices(m: int, n: int, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     integer alpha, double-precision floats otherwise.
     """
     _check_range(m, n, "prop41")
-    k = Fraction((m - 1) ** 2)
-    m2 = 16 * (4 * n - 3) * (n - 1) * k
-    mm2 = Fraction(1, 144) * (6 * n - 1) * (6 * n + 1) * k
+    k = (m - 1) ** 2
+    m2 = Fraction(16 * (4 * n - 3) * (n - 1) * k)
+    mm2 = Fraction((6 * n - 1) * (6 * n + 1) * k, 144)
     m1 = Fraction(16 * m * n - 20 * m - 16 * n + 14)
-    sdd = Fraction(1, 72) * (48 * n * n - 42 * n + 1) * k
+    sdd = Fraction((48 * n * n - 42 * n + 1) * k, 72)
     return _index_set(m1, m2, mm2, sdd, alphas)
 
 
 def prop42_indices(m: int, n: int, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     """Claimed index expressions for the line graph of M_{m,n} (subject ``prop42``)."""
     _check_range(m, n, "prop42")
-    k = Fraction((m - 1) ** 2)
-    m2 = 72 * (9 * n - 11) * (2 * n - 3) * k
-    mm2 = Fraction(1, 100) * (10 * n - 3) * (10 * n - 7) * k
+    k = (m - 1) ** 2
+    m2 = Fraction(72 * (9 * n - 11) * (2 * n - 3) * k)
+    mm2 = Fraction((10 * n - 3) * (10 * n - 7) * k, 100)
     m1 = Fraction(2 * (36 * n - 49) * (m - 1))
-    sdd = Fraction(1, 72) * (48 * n * n - 42 * n + 1) * k
+    sdd = Fraction((48 * n * n - 42 * n + 1) * k, 72)
     return _index_set(m1, m2, mm2, sdd, alphas)

@@ -2,8 +2,9 @@
 
 :func:`indices_from_edges` evaluates the defining expressions over a
 graph's edges: it reads each edge's endpoint degrees once, tallies the
-degree pairs and degree products with integer counts, and builds each
-exact term once per distinct value.  :func:`indices_from_mpoly` recovers
+degree pairs and degree products with integer counts, and sums each exact
+index in integers over one common denominator, building a single
+``Fraction`` per index.  :func:`indices_from_mpoly` recovers
 the same quantities from an M-polynomial through the degree-weight
 operator calculus.  The edge route tallies for itself and never touches
 ``MPoly``, ``weight_by`` or ``Graph.m_polynomial``: the two routes share
@@ -28,9 +29,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .graph import Graph
 from .mpoly import MPoly
@@ -69,9 +69,10 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> No
             continue
         digits = abs(a) * math.log10(base) + math.log10(max(terms, 1)) + 1
         if digits > limit:
+            # A float product past ~1e308 is inf, which is no digit count to print.
+            size = f"up to {digits:.0f} digits, over" if math.isfinite(digits) else "more than"
             raise ValueError(f"alpha {a} is too large for exact arithmetic: its values would have "
-                             f"up to {digits:.0f} digits, over the limit of {limit} digits "
-                             "for printing an integer")
+                             f"{size} the limit of {limit} digits for printing an integer")
 
 
 def check_graph_alphas(g: Graph, alphas: Iterable[Alpha]) -> None:
@@ -83,8 +84,7 @@ def check_graph_alphas(g: Graph, alphas: Iterable[Alpha]) -> None:
     check_alpha_digits(alphas, math.lcm(*filter(None, set(g.degrees()))) ** 2, g.edge_count)
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(NamedTuple):
     """Six degree-based indices; the Randic families keyed by alpha."""
 
     m1: Fraction
@@ -117,28 +117,37 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
 
     Each edge's endpoint degrees are read once and tallied: degree pairs
     for M1 and SDD (both symmetric in the pair, so the order within a pair
-    does not matter), products ``d_u * d_v`` for M2, MM2 and the Randic
-    families.  Exact terms are then built once per distinct value.
-    Non-integer alpha caches ``p ** alpha`` per distinct product but still
-    adds one float per edge in edge order, as a plain per-edge sum would.
+    does not matter), products ``p = d_u * d_v`` for M2, MM2 and the Randic
+    families.  Each exact index is then one integer sum over the tallies,
+    made a ``Fraction`` once at the end over a common denominator: ``den``,
+    the lcm of the products, for MM2 and SDD, and ``den ** |alpha|`` for
+    the reciprocal side of an integer alpha (RR_alpha, or R_alpha when
+    alpha is negative).  ``den`` divides the square of the lcm of the
+    degrees, the base :func:`check_graph_alphas` bounds, so that check
+    also bounds the digits of ``den ** |alpha|``.  Non-integer alpha caches
+    ``p ** alpha`` per distinct product but still adds one float per edge
+    in edge order, as a plain per-edge sum would.
     """
     d = g.degrees()
     degree_pairs = Counter((d[u], d[v]) for u, v in g.edges)
     product_counts: Counter = Counter()
     for (du, dv), c in degree_pairs.items():
         product_counts[du * dv] += c
+    den = math.lcm(*product_counts)
     m1 = Fraction(sum(c * (du + dv) for (du, dv), c in degree_pairs.items()))
     m2 = Fraction(sum(c * p for p, c in product_counts.items()))
-    mm2 = sum((Fraction(c, p) for p, c in product_counts.items()), Fraction(0))
-    sdd = sum((c * (Fraction(du, dv) + Fraction(dv, du)) for (du, dv), c in degree_pairs.items()),
-              Fraction(0))
+    mm2 = Fraction(sum(c * (den // p) for p, c in product_counts.items()), den)
+    sdd = Fraction(sum(c * (du * du + dv * dv) * (den // (du * dv))
+                       for (du, dv), c in degree_pairs.items()), den)
     r: dict[Alpha, Real] = {}
     rr: dict[Alpha, Real] = {}
     products = None
     for alpha in (normalize_alpha(a) for a in alphas):
         if isinstance(alpha, int):
-            r[alpha] = sum((c * Fraction(p) ** alpha for p, c in product_counts.items()), Fraction(0))
-            rr[alpha] = sum((c * Fraction(p) ** -alpha for p, c in product_counts.items()), Fraction(0))
+            k = abs(alpha)
+            up = Fraction(sum(c * p ** k for p, c in product_counts.items()))
+            down = Fraction(sum(c * (den // p) ** k for p, c in product_counts.items()), den ** k)
+            r[alpha], rr[alpha] = (up, down) if alpha >= 0 else (down, up)
         else:
             if products is None:
                 products = [d[u] * d[v] for u, v in g.edges]

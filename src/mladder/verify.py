@@ -21,12 +21,12 @@ formatters raise ``OverflowError`` instead.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import closed_forms
 from .graph import Graph
@@ -41,8 +41,7 @@ THEOREM_SUBJECTS = ("thm31", "thm32")
 PROPOSITION_SUBJECTS = ("prop41", "prop42")
 
 
-@dataclass(frozen=True)
-class Subject:
+class Subject(NamedTuple):
     """What one verification subject checks, and where.
 
     The smallest ``n`` a claim is stated for lives with the claim, in
@@ -64,8 +63,7 @@ SUBJECTS = {
 }
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     """One compared quantity at one grid point."""
 
     m: int
@@ -80,8 +78,7 @@ class CaseResult:
         return (self.subject, self.m, self.n, self.quantity)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Ordered case results plus per-subject verdict counts."""
 
     cases: tuple[CaseResult, ...]
@@ -104,14 +101,17 @@ class VerificationReport:
         record because ``json`` uses its C encoder only without ``indent``,
         and its pure-Python indenting encoder took most of the rendering
         time of a large report.  Strings still go through ``json.dumps``,
-        so their escaping is the encoder's own.
+        so their escaping is the encoder's own; each distinct label is
+        encoded once per call, as a report repeats a few dozen labels in
+        thousands of records.
         """
         if not self.cases:
             return "[]"
+        label = functools.lru_cache(maxsize=None)(json.dumps)
         return "[\n" + ",\n".join(
-            _JSON_RECORD.format(c.m, c.n, json.dumps(c.subject), json.dumps(c.quantity),
+            _JSON_RECORD.format(c.m, c.n, label(c.subject), label(c.quantity),
                                 _json_text(c.computed), _json_text(c.closed_form),
-                                json.dumps(c.verdict))
+                                label(c.verdict))
             for c in self.cases
         ) + "\n]"
 
@@ -217,6 +217,9 @@ def _check_ranges(m_range: Range, n_range: Range) -> None:
         )
 
 
+_ZERO = Fraction(0)  # a theorem term missing on one side
+
+
 def _rows(subject: str, m: int, n: int, g: Graph, formula,
           alphas: Sequence[Alpha]) -> list[tuple[str, Real, Real]]:
     """One subject's ``(quantity, oracle, paper)`` rows at one grid point.
@@ -227,7 +230,7 @@ def _rows(subject: str, m: int, n: int, g: Graph, formula,
     """
     if subject in THEOREM_SUBJECTS:
         oracle, paper = g.m_polynomial().terms, formula(m, n).terms
-        return [(f"x^{i}*y^{j}", oracle.get((i, j), Fraction(0)), paper.get((i, j), Fraction(0)))
+        return [(f"x^{i}*y^{j}", oracle.get((i, j), _ZERO), paper.get((i, j), _ZERO))
                 for i, j in sorted(oracle.keys() | paper.keys())]
     check_graph_alphas(g, alphas)
     paper = formula(m, n, alphas)  # first: its alpha check precedes every power here

@@ -233,6 +233,28 @@ def test_huge_integral_alpha_exit_2(argv):
     assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["indices", "--m", "5", "--n", "3", "--alpha", "1e308"],
+    ["verify", "--subject", "props", "--m-range", "4:4", "--n-range", "3:3", "--alpha=-1e308"],
+])
+def test_integral_alpha_past_float_range_names_the_limit(argv):
+    # Its digit bound overflows float arithmetic; the message gives the limit, not "inf".
+    proc = subprocess.run([sys.executable, "-m", "mladder.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith(f"would have more than the limit of "
+                                f"{sys.get_int_max_str_digits() or 4300} digits for printing an integer\n")
+    assert "inf" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # The result types are NamedTuples, so a fresh CLI process imports neither.
+    code = "import sys, mladder.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_largest_printable_integral_alpha_still_exact(capsys):
     # 1990 * log10(144) is about 4290 digits: just under the default limit.
     assert main(["indices", "--m", "5", "--n", "3", "--alpha", "1990", "--format", "json"]) == 0

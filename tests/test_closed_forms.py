@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mladder import (
+    IndexSet,
     OutOfStatedRange,
+    normalize_alpha,
     prop41_indices,
     prop42_indices,
     thm31_mpoly,
@@ -96,3 +98,42 @@ def test_thm32_total_is_line_graph_edge_count(m, n):
     # sum of C(d, 2) over the ladder's degrees
     expected = 2 * (m - 1) * 3 + (m - 1) * (n - 2) * 6
     assert thm32_mpoly(m, n).eval_at_one() == expected
+
+
+def reference_prop_indices(label, m, n, alphas):
+    """The proposition expressions as the chain of ``Fraction`` products they
+    were first evaluated as; the forms now compute them in integers."""
+    k = Fraction((m - 1) ** 2)
+    if label == "prop41":
+        m2 = 16 * (4 * n - 3) * (n - 1) * k
+        mm2 = Fraction(1, 144) * (6 * n - 1) * (6 * n + 1) * k
+        m1 = Fraction(16 * m * n - 20 * m - 16 * n + 14)
+    else:
+        m2 = 72 * (9 * n - 11) * (2 * n - 3) * k
+        mm2 = Fraction(1, 100) * (10 * n - 3) * (10 * n - 7) * k
+        m1 = Fraction(2 * (36 * n - 49) * (m - 1))
+    sdd = Fraction(1, 72) * (48 * n * n - 42 * n + 1) * k
+    alphas = [normalize_alpha(a) for a in alphas]
+    power = lambda base, a: base ** a if isinstance(a, int) else float(base) ** a
+    return IndexSet(m1=m1, m2=m2, mm2=mm2, sdd=sdd, r_alpha={a: power(m2, a) for a in alphas},
+                    rr_alpha={a: power(mm2, a) for a in alphas})
+
+
+PROP_ALPHAS = (-2, 0, 1, 2, 0.5)
+PROP_FORMS = {"prop41": prop41_indices, "prop42": prop42_indices}
+LARGE_POINTS = [(10**6, 10**6), (4, 10**6), (10**6, 4), (999_983, 123_457)]
+
+
+@pytest.mark.parametrize("label,grid", [
+    ("prop41", [(m, n) for m in range(4, 13) for n in range(2, 11)] + LARGE_POINTS),
+    ("prop42", [(m, n) for m in range(4, 11) for n in range(4, 11)] + LARGE_POINTS),
+])
+def test_prop_forms_match_fraction_product_reference(label, grid):
+    for m, n in grid:
+        got = PROP_FORMS[label](m, n, PROP_ALPHAS)
+        want = reference_prop_indices(label, m, n, PROP_ALPHAS)
+        assert got == want, (label, m, n)
+        assert all(type(x) is Fraction for x in (got.m1, got.m2, got.mm2, got.sdd))
+        for a in PROP_ALPHAS:
+            assert type(got.r_alpha[a]) is type(want.r_alpha[a])
+            assert type(got.rr_alpha[a]) is type(want.rr_alpha[a])

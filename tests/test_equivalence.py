@@ -1,7 +1,8 @@
 """Fast routes against the plain ones they replaced.
 
-``indices_from_edges`` tallies degree pairs and ``Graph.__init__`` checks
-its edges in bulk on a sorted list.  The references below are the plain
+``indices_from_edges`` tallies degree pairs and sums each exact index in
+integers over one common denominator, and ``Graph.__init__`` checks its
+edges in bulk on a sorted list.  The references below are the plain
 per-edge loops those replaced; both versions must give the same values
 (exactly, and bit for bit for float alpha) and accept and reject the same
 edge lists.  ``Graph.line_m_polynomial`` tallies the line graph's
@@ -126,6 +127,15 @@ def assert_same_indices(g, alphas):
 def test_edge_sum_matches_reference_on_corpus():
     for g in corpus():
         assert_same_indices(g, ALPHAS)
+
+
+@pytest.mark.parametrize("g", [
+    hub_graph(seed=2015),
+    hub_graph(seed=2015, vertices=400, background_edges=600, hubs=3, hub_degree=40).line_graph(),
+], ids=["hubs", "hubs-line"])
+def test_edge_sum_matches_reference_over_large_common_denominator(g):
+    # 67 and 167 distinct degree products, whose lcm has 9 and 21 digits.
+    assert_same_indices(g, range(-3, 4))
 
 
 @st.composite
