@@ -22,25 +22,9 @@ import sys
 from typing import Optional, Sequence
 
 from .graph import Graph
-from .indices import (
-    Alpha,
-    IndexSet,
-    alpha_label,
-    check_graph_alphas,
-    indices_from_edges,
-    indices_from_mpoly,
-    normalize_alpha,
-)
+from .indices import Alpha, IndexSet, alpha_label, alpha_list, indices_from_edges, indices_from_mpoly
 from .ladder import InvalidParams, build_ladder
-from .verify import (
-    PROPOSITION_SUBJECTS,
-    THEOREM_SUBJECTS,
-    _json_value,
-    _table,
-    _text_value,
-    values_equal,
-    verify_all,
-)
+from .verify import SUBJECT_GROUPS, json_value, table, text_value, values_equal, verify_all
 
 PROG = "mladder"
 
@@ -104,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="cross-validate the claimed closed forms")
-    p.add_argument("--subject", choices=("thm31", "thm32", "props", "all"), default="all")
+    p.add_argument("--subject", choices=SUBJECT_GROUPS, default="all")
     p.add_argument("--m-range", type=_range_arg, metavar="A:B", default=None)
     p.add_argument("--n-range", type=_range_arg, metavar="A:B", default=None)
     p.add_argument("--alpha", action="append", type=_alpha_arg, metavar="A",
@@ -112,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
-
-
-def _alphas(args: argparse.Namespace) -> list[Alpha]:
-    raw = args.alpha if args.alpha else [1.0]
-    return list(dict.fromkeys(normalize_alpha(a) for a in raw))
 
 
 def _base_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Graph:
@@ -143,12 +122,12 @@ def _graph_json(g: Graph) -> str:
 
 def _indexset_json(s: IndexSet, alphas: Sequence[Alpha]) -> dict:
     return {
-        "m1": _json_value(s.m1),
-        "m2": _json_value(s.m2),
-        "mm2": _json_value(s.mm2),
-        "sdd": _json_value(s.sdd),
-        "r_alpha": {alpha_label(a): _json_value(s.r_alpha[a]) for a in alphas},
-        "rr_alpha": {alpha_label(a): _json_value(s.rr_alpha[a]) for a in alphas},
+        "m1": json_value(s.m1),
+        "m2": json_value(s.m2),
+        "mm2": json_value(s.mm2),
+        "sdd": json_value(s.sdd),
+        "r_alpha": {alpha_label(a): json_value(s.r_alpha[a]) for a in alphas},
+        "rr_alpha": {alpha_label(a): json_value(s.rr_alpha[a]) for a in alphas},
     }
 
 
@@ -172,12 +151,10 @@ def _cmd_mpoly(args, parser) -> tuple[str, int]:
 
 def _cmd_indices(args, parser) -> tuple[str, int]:
     g = _base_graph(args, parser)
-    alphas = _alphas(args)
+    alphas = alpha_list(args.alpha or ())
     # With --line the two routes share not even the line graph: the edge
     # sum runs over the built line graph, the polynomial is tallied from g.
-    summed = g.line_graph() if args.line else g
-    check_graph_alphas(summed, alphas)
-    from_edges = indices_from_edges(summed, alphas)
+    from_edges = indices_from_edges(g.line_graph() if args.line else g, alphas)
     from_mpoly = indices_from_mpoly(g.line_m_polynomial() if args.line else g.m_polynomial(), alphas)
     rows = from_edges.paired(from_mpoly, alphas)
     if args.format == "json":
@@ -188,37 +165,26 @@ def _cmd_indices(args, parser) -> tuple[str, int]:
         }
         return json.dumps(payload, indent=2) + "\n", 0
     header = ("quantity", "edges", "mpoly", "agree")
-    table = [(q, _text_value(a), _text_value(b), "yes" if values_equal(a, b) else "NO")
+    cells = [(q, text_value(a), text_value(b), "yes" if values_equal(a, b) else "NO")
              for q, a, b in rows]
-    return "\n".join(_table(header, table)) + "\n", 0
+    return "\n".join(table(header, cells)) + "\n", 0
 
 
-VERIFY_SUBJECTS = {
-    "thm31": ("thm31",),
-    "thm32": ("thm32",),
-    "props": PROPOSITION_SUBJECTS,
-    "all": THEOREM_SUBJECTS + PROPOSITION_SUBJECTS,
-}
-
-
-def _cmd_verify(args) -> tuple[str, int]:
-    report = verify_all(_alphas(args), VERIFY_SUBJECTS[args.subject], args.m_range, args.n_range)
+def _cmd_verify(args, parser) -> tuple[str, int]:
+    report = verify_all(args.alpha or (), SUBJECT_GROUPS[args.subject], args.m_range, args.n_range)
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()
     return text, 3 if report.theorem_mismatches() else 0
+
+
+COMMANDS = {"gen": _cmd_graph, "line": _cmd_graph, "mpoly": _cmd_mpoly,
+            "indices": _cmd_indices, "verify": _cmd_verify}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("gen", "line"):
-            output, status = _cmd_graph(args, parser)
-        elif args.command == "mpoly":
-            output, status = _cmd_mpoly(args, parser)
-        elif args.command == "indices":
-            output, status = _cmd_indices(args, parser)
-        else:
-            output, status = _cmd_verify(args)
+        output, status = COMMANDS[args.command](args, parser)
     except InvalidParams as exc:
         print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)
         print(f"usage hint: {PROG} {args.command} --help", file=sys.stderr)

@@ -20,8 +20,8 @@ Symmetric division          SDD  = sum (min/max + max/min)
 
 Integer alpha is computed exactly in rational arithmetic; non-integer
 alpha in double precision (compare with a relative tolerance of 1e-12).
-Callers check an integer alpha with :func:`check_alpha_digits` before
-either route raises anything to its power.
+The edge route checks its own integer alphas with
+:func:`check_alpha_digits` before it raises anything to a power.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ def alpha_label(alpha: Alpha) -> str:
     return repr(normalize_alpha(alpha))
 
 
+def alpha_list(alphas: Iterable[Alpha]) -> list[Alpha]:
+    """The normalized alphas, first occurrence of each kept in order; ``[1]`` if none."""
+    return list(dict.fromkeys(map(normalize_alpha, alphas))) or [1]
+
+
 def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> None:
     """Refuse an integer alpha whose exact values would be too long to print.
 
@@ -64,24 +69,19 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> No
     """
     # 0 (no limit) would let one flag take unbounded time; keep the default.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if base <= 1:
+        return  # every power of 1 is 1
+    scale, extra = math.log10(base), math.log10(max(terms, 1)) + 1
     for a in alphas:
         if not isinstance(a, int):
             continue
-        digits = abs(a) * math.log10(base) + math.log10(max(terms, 1)) + 1
+        # An int past float range would overflow in the product; it is refused anyway.
+        digits = abs(a) * scale + extra if abs(a) <= sys.float_info.max else math.inf
         if digits > limit:
             # A float product past ~1e308 is inf, which is no digit count to print.
             size = f"up to {digits:.0f} digits, over" if math.isfinite(digits) else "more than"
             raise ValueError(f"alpha {a} is too large for exact arithmetic: its values would have "
                              f"{size} the limit of {limit} digits for printing an integer")
-
-
-def check_graph_alphas(g: Graph, alphas: Iterable[Alpha]) -> None:
-    """:func:`check_alpha_digits` for the indices of ``g``.
-
-    Every degree product ``d_u * d_v`` divides the square of the lcm of the
-    degrees, and each index sums one term per edge.
-    """
-    check_alpha_digits(alphas, math.lcm(*filter(None, set(g.degrees()))) ** 2, g.edge_count)
 
 
 class IndexSet(NamedTuple):
@@ -122,13 +122,17 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     made a ``Fraction`` once at the end over a common denominator: ``den``,
     the lcm of the products, for MM2 and SDD, and ``den ** |alpha|`` for
     the reciprocal side of an integer alpha (RR_alpha, or R_alpha when
-    alpha is negative).  ``den`` divides the square of the lcm of the
-    degrees, the base :func:`check_graph_alphas` bounds, so that check
-    also bounds the digits of ``den ** |alpha|``.  Non-integer alpha caches
+    alpha is negative).  An integer alpha is first refused by
+    :func:`check_alpha_digits` when its values would be too long to print:
+    every product, and so ``den``, divides the square of the lcm of the
+    degrees, which bounds ``p ** |alpha|`` and ``den ** |alpha|`` alike,
+    and each index sums one term per edge.  Non-integer alpha caches
     ``p ** alpha`` per distinct product but still adds one float per edge
     in edge order, as a plain per-edge sum would.
     """
     d = g.degrees()
+    alphas = [normalize_alpha(a) for a in alphas]
+    check_alpha_digits(alphas, math.lcm(*filter(None, set(d))) ** 2, g.edge_count)
     degree_pairs = Counter((d[u], d[v]) for u, v in g.edges)
     product_counts: Counter = Counter()
     for (du, dv), c in degree_pairs.items():
@@ -142,7 +146,7 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     r: dict[Alpha, Real] = {}
     rr: dict[Alpha, Real] = {}
     products = None
-    for alpha in (normalize_alpha(a) for a in alphas):
+    for alpha in alphas:
         if isinstance(alpha, int):
             k = abs(alpha)
             up = Fraction(sum(c * p ** k for p, c in product_counts.items()))

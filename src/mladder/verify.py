@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import closed_forms
 from .graph import Graph
-from .indices import Alpha, Real, check_graph_alphas, indices_from_edges, normalize_alpha
+from .indices import Alpha, Real, alpha_list, indices_from_edges
 from .ladder import MIN_M, MIN_N, InvalidParams, build_ladder
 
 Range = tuple[int, int]
@@ -60,6 +60,14 @@ SUBJECTS = {
     "thm32": Subject("thm32_mpoly", True, ((4, 10), (4, 10))),
     "prop41": Subject("prop41_indices", False, ((4, 12), (2, 10))),
     "prop42": Subject("prop42_indices", True, ((4, 10), (4, 10))),
+}
+
+# The subject groups a caller may ask for by one name, in the order to offer them.
+SUBJECT_GROUPS = {
+    "thm31": ("thm31",),
+    "thm32": ("thm32",),
+    "props": PROPOSITION_SUBJECTS,
+    "all": THEOREM_SUBJECTS + PROPOSITION_SUBJECTS,
 }
 
 
@@ -124,13 +132,13 @@ class VerificationReport(NamedTuple):
                 str(c.m),
                 str(c.n),
                 c.quantity,
-                _text_value(c.computed),
-                _text_value(c.closed_form),
+                text_value(c.computed),
+                text_value(c.closed_form),
                 c.verdict,
             )
             for c in self.cases
         ]
-        lines = _table(header, rows)
+        lines = table(header, rows)
         lines.append("")
         lines.append("summary:")
         for subject in sorted(self.summary):
@@ -156,7 +164,8 @@ def _finite(value: float) -> float:
     return value
 
 
-def _json_value(value: Optional[Real]):
+def json_value(value: Optional[Real]):
+    """``value`` as a JSON-ready object: ``None``, ``{"num", "den"}`` or a finite float."""
     if value is None:
         return None
     if isinstance(value, Fraction):
@@ -172,7 +181,7 @@ _JSON_RECORD = (
 
 
 def _json_text(value: Optional[Real]) -> str:
-    """``_json_value(value)`` as ``json.dumps(..., indent=2)`` writes it inside a record."""
+    """``json_value(value)`` as ``json.dumps(..., indent=2)`` writes it inside a record."""
     if value is None:
         return "null"
     if isinstance(value, Fraction):
@@ -180,15 +189,14 @@ def _json_text(value: Optional[Real]) -> str:
     return repr(_finite(value))
 
 
-def _text_value(value: Optional[Real]) -> str:
+def text_value(value: Optional[Real]) -> str:
+    """``value`` as a table cell: ``-``, ``p`` or ``p/q``, or a finite float's ``repr``."""
     if value is None:
         return "-"
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    return repr(_finite(value))
+    return str(value) if isinstance(value, Fraction) else repr(_finite(value))
 
 
-def _table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
+def table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
     """Lay out text columns left-aligned, two spaces apart, without trailing blanks."""
     widths = [max(map(len, column)) for column in zip(header, *rows)]
     return ["  ".join(f.ljust(w) for f, w in zip(r, widths)).rstrip() for r in (header, *rows)]
@@ -232,9 +240,8 @@ def _rows(subject: str, m: int, n: int, g: Graph, formula,
         oracle, paper = g.m_polynomial().terms, formula(m, n).terms
         return [(f"x^{i}*y^{j}", oracle.get((i, j), _ZERO), paper.get((i, j), _ZERO))
                 for i, j in sorted(oracle.keys() | paper.keys())]
-    check_graph_alphas(g, alphas)
-    paper = formula(m, n, alphas)  # first: its alpha check precedes every power here
-    return indices_from_edges(g, alphas).paired(paper, alphas)
+    # The edge sum runs first, so its alpha check speaks before the closed form's.
+    return indices_from_edges(g, alphas).paired(formula(m, n, alphas), alphas)
 
 
 def verify_all(alphas: Iterable[Alpha] = (1,),
@@ -249,7 +256,7 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
     its line graph at most once, then shared by every subject at that
     point; nothing is kept from one point to the next.
     """
-    alpha_list = list(dict.fromkeys(normalize_alpha(a) for a in alphas)) or [1]
+    alphas = alpha_list(alphas)
     grids: dict[str, tuple[Range, Range]] = {}
     for subject in subjects:
         if subject not in SUBJECTS:
@@ -276,7 +283,7 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
                     if line is None:
                         line = ladder.line_graph()
                     g = line
-                rows = _rows(subject, m, n, g, getattr(closed_forms, spec.formula), alpha_list)
+                rows = _rows(subject, m, n, g, getattr(closed_forms, spec.formula), alphas)
             cases.extend(
                 CaseResult(m=m, n=n, subject=subject, quantity=quantity,
                            computed=got, closed_form=want,

@@ -24,7 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mladder import Graph, MPoly, indices_from_edges, normalize_alpha, verify_all
-from mladder.verify import CaseResult, VerificationReport, _json_value
+from mladder.verify import CaseResult, VerificationReport, json_value
 
 from conftest import path_graph, star_graph
 from test_acceptance import EXACT_ALPHAS, FLOAT_ALPHAS, corpus
@@ -256,8 +256,8 @@ def reference_report_json(report):
             "n": c.n,
             "subject": c.subject,
             "quantity": c.quantity,
-            "computed": _json_value(c.computed),
-            "closed_form": _json_value(c.closed_form),
+            "computed": json_value(c.computed),
+            "closed_form": json_value(c.closed_form),
             "verdict": c.verdict,
         }
         for c in report.cases

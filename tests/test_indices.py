@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mladder import (
+    Graph,
     ZeroExponentWeight,
     alpha_label,
     build_ladder,
@@ -12,6 +13,7 @@ from mladder import (
     indices_from_mpoly,
     normalize_alpha,
 )
+from mladder.indices import alpha_list, check_alpha_digits
 
 from conftest import cycle_graph, path_graph, star_graph
 
@@ -64,6 +66,21 @@ def test_normalize_alpha():
     assert normalize_alpha(0.5) == 0.5
     assert alpha_label(2.0) == "2"
     assert alpha_label(-0.5) == "-0.5"
+    assert alpha_list([2.0, 2, 0.5, 1.0]) == [2, 0.5, 1]
+    assert alpha_list([]) == [1]
+
+
+def test_edge_route_refuses_alphas_too_large_to_print():
+    # Checked before any power: 10_000 * log10(144) is about 21,600 digits.
+    with pytest.raises(ValueError, match="too large for exact arithmetic"):
+        indices_from_edges(build_ladder(5, 3), [10_000])
+    # Every product of a single edge is 1, so any alpha is cheap and exact.
+    s = indices_from_edges(Graph(2, [(0, 1)]), [10**400])
+    assert s.r_alpha[10**400] == s.rr_alpha[10**400] == 1
+    # An int past float range is refused by name, not by an OverflowError.
+    with pytest.raises(ValueError, match=r"more than the limit of \d+ digits"):
+        check_alpha_digits([10**400], 144)
+    check_alpha_digits([10**400], 1)
 
 
 small_graphs = st.sampled_from(

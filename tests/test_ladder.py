@@ -80,3 +80,20 @@ def test_degrees(m, n):
 @given(ms, ns)
 def test_deterministic_construction(m, n):
     assert build_ladder(m, n).to_edgelist() == build_ladder(m, n).to_edgelist()
+
+
+def grid_quotient(m, n):
+    """The m x n grid with column m-1 identified with column 0 under row reversal."""
+    def vid(c, r):
+        return vid(0, n + 1 - r) if c == m - 1 else c * n + (r - 1)
+    grid = [((c, r), (c, r + 1)) for c in range(m) for r in range(1, n)]
+    grid += [((c, r), (c + 1, r)) for c in range(m - 1) for r in range(1, n + 1)]
+    return sorted({tuple(sorted((vid(*a), vid(*b)))) for a, b in grid})
+
+
+def test_generator_matches_its_definition():
+    for m in range(4, 15):
+        for n in range(2, 15):
+            g = build_ladder(m, n)
+            assert g.vertex_count == (m - 1) * n
+            assert list(g.edges) == grid_quotient(m, n), (m, n)

@@ -1,9 +1,11 @@
+import ast
 import re
 from pathlib import Path
 
 import mladder
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_export_resolves():
@@ -24,3 +26,16 @@ def test_readme_library_example(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out == mladder.verify_all().to_text() + "\n"
+
+
+def test_modules_import_only_public_names_from_each_other():
+    # A name another module needs is that module's public API, not a private helper.
+    private = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted((ROOT / "src" / "mladder").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
