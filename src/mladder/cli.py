@@ -22,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from .graph import Graph
-from .indices import Alpha, IndexSet, alpha_label, alpha_list, indices_from_edges, indices_from_mpoly
+from .indices import IndexSet, alpha_label, alpha_list, indices_from_edges, indices_from_mpoly
 from .ladder import InvalidParams, build_ladder
 from .verify import SUBJECT_GROUPS, json_value, table, text_value, values_equal, verify_all
 
@@ -67,21 +67,20 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--m", type=int, help="ladder parameter m (columns before identification, >= 4)")
     size.add_argument("--n", type=int, help="ladder parameter n (rows, >= 2)")
 
-    p = sub.add_parser("gen", parents=[common, size], help="emit the ladder M_{m,n}")
-    p.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
+    source = argparse.ArgumentParser(add_help=False, parents=[common, size])
+    source.add_argument("--line", action="store_true", help="use the line graph of the base graph")
+    source.add_argument("--from-file", metavar="PATH", help="read the base graph from an edge-list file")
 
-    p = sub.add_parser("line", parents=[common, size], help="emit the line graph of M_{m,n}")
-    p.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
+    for name, help_text in (("gen", "emit the ladder M_{m,n}"),
+                            ("line", "emit the line graph of M_{m,n}")):
+        p = sub.add_parser(name, parents=[common, size], help=help_text)
+        p.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
 
-    p = sub.add_parser("mpoly", parents=[common, size], help="emit an M-polynomial")
-    p.add_argument("--line", action="store_true", help="use the line graph of the base graph")
-    p.add_argument("--from-file", metavar="PATH", help="read the base graph from an edge-list file")
+    p = sub.add_parser("mpoly", parents=[source], help="emit an M-polynomial")
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
-    p = sub.add_parser("indices", parents=[common, size],
+    p = sub.add_parser("indices", parents=[source],
                        help="compute indices from edges and from the M-polynomial")
-    p.add_argument("--line", action="store_true", help="use the line graph of the base graph")
-    p.add_argument("--from-file", metavar="PATH", help="read the base graph from an edge-list file")
     p.add_argument("--alpha", action="append", type=_alpha_arg, metavar="A",
                    help="Randic exponent; repeatable (default: 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -99,11 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _base_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Graph:
-    from_file = getattr(args, "from_file", None)
-    if from_file is not None:
+    if args.from_file is not None:
         if args.m is not None or args.n is not None:
             parser.error(f"{args.command}: --from-file excludes --m/--n")
-        with open(from_file, encoding="ascii") as fh:
+        with open(args.from_file, encoding="ascii") as fh:
             return Graph.from_edgelist(fh.read())
     if args.m is None or args.n is None:
         parser.error(f"{args.command}: --m and --n are required (or --from-file)")
@@ -115,19 +113,19 @@ def _graph_json(g: Graph) -> str:
         {
             "vertex_count": g.vertex_count,
             "edge_count": g.edge_count,
-            "edges": [[u, v] for u, v in g.edges],
+            "edges": g.edges,
         }
     )
 
 
-def _indexset_json(s: IndexSet, alphas: Sequence[Alpha]) -> dict:
+def _indexset_json(s: IndexSet) -> dict:
     return {
         "m1": json_value(s.m1),
         "m2": json_value(s.m2),
         "mm2": json_value(s.mm2),
         "sdd": json_value(s.sdd),
-        "r_alpha": {alpha_label(a): json_value(s.r_alpha[a]) for a in alphas},
-        "rr_alpha": {alpha_label(a): json_value(s.rr_alpha[a]) for a in alphas},
+        "r_alpha": {alpha_label(a): json_value(v) for a, v in s.r_alpha.items()},
+        "rr_alpha": {alpha_label(a): json_value(v) for a, v in s.rr_alpha.items()},
     }
 
 
@@ -156,11 +154,11 @@ def _cmd_indices(args, parser) -> tuple[str, int]:
     # sum runs over the built line graph, the polynomial is tallied from g.
     from_edges = indices_from_edges(g.line_graph() if args.line else g, alphas)
     from_mpoly = indices_from_mpoly(g.line_m_polynomial() if args.line else g.m_polynomial(), alphas)
-    rows = from_edges.paired(from_mpoly, alphas)
+    rows = from_edges.paired(from_mpoly)
     if args.format == "json":
         payload = {
-            "from_edges": _indexset_json(from_edges, alphas),
-            "from_mpoly": _indexset_json(from_mpoly, alphas),
+            "from_edges": _indexset_json(from_edges),
+            "from_mpoly": _indexset_json(from_mpoly),
             "agreement": {q: values_equal(a, b) for q, a, b in rows},
         }
         return json.dumps(payload, indent=2) + "\n", 0
@@ -185,30 +183,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         output, status = COMMANDS[args.command](args, parser)
-    except InvalidParams as exc:
-        print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)
-        print(f"usage hint: {PROG} {args.command} --help", file=sys.stderr)
-        return 2
+        if args.out:
+            with open(args.out, "w", encoding="ascii", newline="") as fh:
+                fh.write(output)
     except ValueError as exc:
         print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)
+        if isinstance(exc, InvalidParams):
+            print(f"usage hint: {PROG} {args.command} --help", file=sys.stderr)
         return 2
     except OverflowError:
         print(f"{PROG} {args.command}: error: a Randic term overflows float arithmetic; "
               "use a smaller |alpha|", file=sys.stderr)
         return 2
     except OSError as exc:
-        path = exc.filename if exc.filename else getattr(args, "out", None) or "<io>"
+        path = exc.filename or args.out or "<io>"
         print(f"{PROG} {args.command}: error: {path}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="ascii", newline="") as fh:
-                fh.write(output)
-        except OSError as exc:
-            print(f"{PROG} {args.command}: error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-    else:
+    if not args.out:
         sys.stdout.write(output)
     return status
 

@@ -151,11 +151,9 @@ class Graph:
             raise ValueError(f"header declares {edge_count} edges but {len(lines) - 1} lines follow")
         edges = []
         for line in lines[1:]:
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"malformed edge line {line!r}")
             try:
-                edges.append((int(fields[0]), int(fields[1])))
+                u, v = line.split()
+                edges.append((int(u), int(v)))
             except ValueError:
                 raise ValueError(f"malformed edge line {line!r}") from None
         return cls(vertex_count, edges)

@@ -94,18 +94,19 @@ class IndexSet(NamedTuple):
     r_alpha: dict[Alpha, Real]
     rr_alpha: dict[Alpha, Real]
 
-    def paired(self, other: "IndexSet", alphas: Iterable[Alpha]) -> list[tuple[str, Real, Real]]:
+    def paired(self, other: "IndexSet") -> list[tuple[str, Real, Real]]:
         """``(label, value here, value in other)`` triples, in the order reports print them.
 
         ``m1``, ``m2``, ``mm2``, ``sdd``, then ``r_alpha[a]`` and
-        ``rr_alpha[a]`` for each alpha in turn (labels from
-        :func:`alpha_label`).  Neither index route calls this, so the two
-        stay independent; it only lines their results (or the closed
-        forms) up row by row.
+        ``rr_alpha[a]`` for each alpha in this result's own ``r_alpha``
+        (labels from :func:`alpha_label`): each normalized alpha once, in
+        first-occurrence order.  Neither index route calls this, so the two
+        stay independent; it only lines their results (or the closed forms)
+        up row by row.
         """
         rows = [(name, getattr(self, name), getattr(other, name))
                 for name in ("m1", "m2", "mm2", "sdd")]
-        for a in alphas:
+        for a in self.r_alpha:
             label = alpha_label(a)
             rows.append((f"r_alpha[{label}]", self.r_alpha[a], other.r_alpha[a]))
             rows.append((f"rr_alpha[{label}]", self.rr_alpha[a], other.rr_alpha[a]))

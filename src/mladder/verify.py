@@ -38,7 +38,6 @@ Range = tuple[int, int]
 REL_TOL = 1e-12
 
 THEOREM_SUBJECTS = ("thm31", "thm32")
-PROPOSITION_SUBJECTS = ("prop41", "prop42")
 
 
 class Subject(NamedTuple):
@@ -66,8 +65,8 @@ SUBJECTS = {
 SUBJECT_GROUPS = {
     "thm31": ("thm31",),
     "thm32": ("thm32",),
-    "props": PROPOSITION_SUBJECTS,
-    "all": THEOREM_SUBJECTS + PROPOSITION_SUBJECTS,
+    "props": ("prop41", "prop42"),
+    "all": tuple(SUBJECTS),
 }
 
 
@@ -94,11 +93,7 @@ class VerificationReport(NamedTuple):
 
     def theorem_mismatches(self) -> int:
         """Number of mismatching cases in theorem subjects (build-breaking)."""
-        return sum(
-            1
-            for c in self.cases
-            if c.subject in THEOREM_SUBJECTS and c.verdict == "mismatch"
-        )
+        return sum(self.summary[s]["mismatch"] for s in THEOREM_SUBJECTS if s in self.summary)
 
     def to_json(self) -> str:
         """Serialize as a JSON array of case records.
@@ -241,11 +236,11 @@ def _rows(subject: str, m: int, n: int, g: Graph, formula,
         return [(f"x^{i}*y^{j}", oracle.get((i, j), _ZERO), paper.get((i, j), _ZERO))
                 for i, j in sorted(oracle.keys() | paper.keys())]
     # The edge sum runs first, so its alpha check speaks before the closed form's.
-    return indices_from_edges(g, alphas).paired(formula(m, n, alphas), alphas)
+    return indices_from_edges(g, alphas).paired(formula(m, n, alphas))
 
 
 def verify_all(alphas: Iterable[Alpha] = (1,),
-               subjects: Sequence[str] = THEOREM_SUBJECTS + PROPOSITION_SUBJECTS,
+               subjects: Sequence[str] = tuple(SUBJECTS),
                m_range: Optional[Range] = None,
                n_range: Optional[Range] = None) -> VerificationReport:
     """Run ``subjects`` (keys of :data:`SUBJECTS`) over one grid and report every case.

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -70,6 +71,22 @@ def test_from_file_excludes_size_flags(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("gen", "--help --out --m --n --format"),
+    ("line", "--help --out --m --n --format"),
+    ("mpoly", "--help --out --m --n --line --from-file --format"),
+    ("indices", "--help --out --m --n --line --from-file --alpha --format"),
+    ("verify", "--help --out --subject --m-range --n-range --alpha --format"),
+])
+def test_help_lists_each_flag_family_in_order(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # Only the option names, so the terminal width cannot move them.
+    options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+    assert re.findall(r"(?<!\S)--[a-z-]+", options) == flags.split()
+
+
 def test_indices_json(capsys):
     assert main(["indices", "--m", "7", "--n", "3", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -99,6 +116,18 @@ def test_out_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(["gen", "--m", "4", "--n", "2"]) == 0
     assert target.read_text(encoding="ascii") == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target,reason", [
+    ("", "Is a directory"),
+    ("missing/x", "No such file or directory"),
+])
+def test_out_failure_exit_1(tmp_path, capsys, target, reason):
+    out = tmp_path / target
+    assert main(["gen", "--m", "5", "--n", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mladder gen: error: {out}: {reason}\n"
 
 
 def test_invalid_params_exit_2(capsys):

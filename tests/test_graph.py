@@ -72,8 +72,11 @@ def test_from_edgelist_rejects_malformed():
         Graph.from_edgelist("q 3 2\n0 1\n1 2\n")
     with pytest.raises(ValueError):
         Graph.from_edgelist("p 3 2\n0 1\n")
-    with pytest.raises(ValueError):
-        Graph.from_edgelist("p 3 1\n0 1 2\n")
+    for line in ("0", "0 1 2", "0 x"):
+        with pytest.raises(ValueError, match=f"^malformed edge line '{line}'$"):
+            Graph.from_edgelist(f"p 3 1\n{line}\n")
+    # Surrounding blanks, blank lines, signs and digit underscores are int()'s forms.
+    assert Graph.from_edgelist("p 21 2\n 0   +1 \n\n1\t2_0\n").edges == ((0, 1), (1, 20))
 
 
 edge_sets = st.integers(2, 12).flatmap(

@@ -83,6 +83,15 @@ def test_edge_route_refuses_alphas_too_large_to_print():
     check_alpha_digits([10**400], 1)
 
 
+def test_paired_rows_follow_the_results_own_alphas():
+    g = build_ladder(5, 3)
+    a = [1, 1.0, 2]
+    rows = indices_from_edges(g, a).paired(indices_from_mpoly(g.m_polynomial(), a))
+    assert [label for label, _, _ in rows] == [
+        "m1", "m2", "mm2", "sdd", "r_alpha[1]", "rr_alpha[1]", "r_alpha[2]", "rr_alpha[2]"]
+    assert all(here == there for _, here, there in rows)
+
+
 small_graphs = st.sampled_from(
     [path_graph(k) for k in range(2, 9)]
     + [cycle_graph(k) for k in range(3, 9)]
