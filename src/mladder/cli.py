@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .graph import Graph
@@ -102,20 +103,15 @@ def _base_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Gr
         if args.m is not None or args.n is not None:
             parser.error(f"{args.command}: --from-file excludes --m/--n")
         with open(args.from_file, encoding="ascii") as fh:
-            return Graph.from_edgelist(fh.read())
+            try:
+                text = fh.read()
+            except OSError as exc:  # a failed read names no file; main reports exc.filename
+                exc.filename = args.from_file
+                raise
+        return Graph.from_edgelist(text)
     if args.m is None or args.n is None:
         parser.error(f"{args.command}: --m and --n are required (or --from-file)")
     return build_ladder(args.m, args.n)
-
-
-def _graph_json(g: Graph) -> str:
-    return json.dumps(
-        {
-            "vertex_count": g.vertex_count,
-            "edge_count": g.edge_count,
-            "edges": g.edges,
-        }
-    )
 
 
 def _indexset_json(s: IndexSet) -> dict:
@@ -137,7 +133,8 @@ def _cmd_graph(args, parser) -> tuple[str, int]:
         g = g.line_graph()
     if args.format == "edgelist":
         return g.to_edgelist(), 0
-    return _graph_json(g) + "\n", 0
+    payload = {"vertex_count": g.vertex_count, "edge_count": g.edge_count, "edges": g.edges}
+    return json.dumps(payload) + "\n", 0
 
 
 def _cmd_mpoly(args, parser) -> tuple[str, int]:
@@ -183,9 +180,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         output, status = COMMANDS[args.command](args, parser)
-        if args.out:
-            with open(args.out, "w", encoding="ascii", newline="") as fh:
-                fh.write(output)
+        # --out is opened only now, so a failed command leaves it untouched.
+        with open(args.out, "w", encoding="ascii", newline="") if args.out \
+                else nullcontext(sys.stdout) as fh:
+            fh.write(output)
+            fh.flush()
     except ValueError as exc:
         print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)
         if isinstance(exc, InvalidParams):
@@ -196,11 +195,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               "use a smaller |alpha|", file=sys.stderr)
         return 2
     except OSError as exc:
-        path = exc.filename or args.out or "<io>"
+        path = exc.filename or args.out or "<stdout>"
         print(f"{PROG} {args.command}: error: {path}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    if not args.out:
-        sys.stdout.write(output)
     return status
 
 

@@ -102,10 +102,6 @@ class MPoly:
         (``"6x^{3}y^{3}"``, unit coefficients and zero/one exponents
         elided); ``json`` is an array of ``{i, j, num, den}`` records.
         """
-        if fmt == "plain":
-            return self._render_plain()
-        if fmt == "latex":
-            return self._render_latex()
         if fmt == "json":
             return json.dumps(
                 [
@@ -113,34 +109,28 @@ class MPoly:
                     for (i, j), c in self._terms.items()
                 ]
             )
-        raise ValueError(f"unknown render format {fmt!r}; expected one of {RENDER_FORMATS}")
-
-    def _render_plain(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = [f"{c}*x^{i}*y^{j}" for (i, j), c in self._terms.items()]
-        return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
-
-    def _render_latex(self) -> str:
-        if not self._terms:
-            return "0"
+        if fmt not in RENDER_FORMATS:
+            raise ValueError(f"unknown render format {fmt!r}; expected one of {RENDER_FORMATS}")
         parts = []
         for (i, j), c in self._terms.items():
-            sign = "-" if c < 0 else ""
-            c = abs(c)
-            factors = ""
-            if i:
-                factors += "x" if i == 1 else f"x^{{{i}}}"
-            if j:
-                factors += "y" if j == 1 else f"y^{{{j}}}"
-            if c.denominator != 1:
-                coef = f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
-            elif c == 1 and factors:
-                coef = ""
+            a = abs(c)
+            if fmt == "plain":
+                term = f"{a}*x^{i}*y^{j}"
             else:
-                coef = str(c.numerator)
-            parts.append(sign + coef + factors)
-        return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
+                factors = ""
+                if i:
+                    factors += "x" if i == 1 else f"x^{{{i}}}"
+                if j:
+                    factors += "y" if j == 1 else f"y^{{{j}}}"
+                if a.denominator != 1:
+                    coef = f"\\frac{{{a.numerator}}}{{{a.denominator}}}"
+                elif a == 1 and factors:
+                    coef = ""
+                else:
+                    coef = str(a.numerator)
+                term = coef + factors
+            parts.append(("-" if c < 0 else "+") + term)
+        return "".join(parts).removeprefix("+") or "0"
 
     def __repr__(self) -> str:
-        return f"MPoly({self._render_plain()})"
+        return f"MPoly({self.render()})"

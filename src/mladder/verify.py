@@ -26,6 +26,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import closed_forms
@@ -81,19 +82,24 @@ class CaseResult(NamedTuple):
     closed_form: Optional[Real]
     verdict: str  # "match" | "mismatch" | "out-of-domain"
 
-    def sort_key(self) -> tuple:
-        return (self.subject, self.m, self.n, self.quantity)
-
 
 class VerificationReport(NamedTuple):
-    """Ordered case results plus per-subject verdict counts."""
+    """Ordered case results; every count is read from them."""
 
     cases: tuple[CaseResult, ...]
-    summary: dict[str, dict[str, int]]
+
+    @property
+    def summary(self) -> dict[str, dict[str, int]]:
+        """Verdict counts per subject, subjects in the order of their first case."""
+        summary: dict[str, dict[str, int]] = {}
+        for c in self.cases:
+            counts = summary.setdefault(c.subject, {"match": 0, "mismatch": 0, "out-of-domain": 0})
+            counts[c.verdict] += 1
+        return summary
 
     def theorem_mismatches(self) -> int:
         """Number of mismatching cases in theorem subjects (build-breaking)."""
-        return sum(self.summary[s]["mismatch"] for s in THEOREM_SUBJECTS if s in self.summary)
+        return sum(c.verdict == "mismatch" for c in self.cases if c.subject in THEOREM_SUBJECTS)
 
     def to_json(self) -> str:
         """Serialize as a JSON array of case records.
@@ -136,8 +142,9 @@ class VerificationReport(NamedTuple):
         lines = table(header, rows)
         lines.append("")
         lines.append("summary:")
-        for subject in sorted(self.summary):
-            counts = self.summary[subject]
+        summary = self.summary
+        for subject in sorted(summary):
+            counts = summary[subject]
             lines.append(
                 f"  {subject}: {counts['match']} match, {counts['mismatch']} mismatch, "
                 f"{counts['out-of-domain']} out-of-domain"
@@ -195,17 +202,6 @@ def table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
     """Lay out text columns left-aligned, two spaces apart, without trailing blanks."""
     widths = [max(map(len, column)) for column in zip(header, *rows)]
     return ["  ".join(f.ljust(w) for f, w in zip(r, widths)).rstrip() for r in (header, *rows)]
-
-
-def _make_report(cases: Iterable[CaseResult]) -> VerificationReport:
-    ordered = tuple(sorted(cases, key=CaseResult.sort_key))
-    summary: dict[str, dict[str, int]] = {}
-    for c in ordered:
-        counts = summary.setdefault(
-            c.subject, {"match": 0, "mismatch": 0, "out-of-domain": 0}
-        )
-        counts[c.verdict] += 1
-    return VerificationReport(cases=ordered, summary=summary)
 
 
 def _check_ranges(m_range: Range, n_range: Range) -> None:
@@ -286,4 +282,4 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
                            else "match" if values_equal(got, want) else "mismatch")
                 for quantity, got, want in rows
             )
-    return _make_report(cases)
+    return VerificationReport(tuple(sorted(cases, key=attrgetter("subject", "m", "n", "quantity"))))

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -130,6 +131,24 @@ def test_out_failure_exit_1(tmp_path, capsys, target, reason):
     assert captured.err == f"mladder gen: error: {out}: {reason}\n"
 
 
+def test_failed_command_leaves_out_untouched(tmp_path):
+    # --out is opened only after the command has succeeded.
+    target = tmp_path / "old.txt"
+    target.write_text("keep", encoding="ascii")
+    assert main(["gen", "--m", "3", "--n", "3", "--out", str(target)]) == 2
+    assert target.read_text(encoding="ascii") == "keep"
+
+
+def test_stdout_closed_early_exit_1():
+    # The edge list of M_{100,100} (192,606 bytes) does not fit in a pipe buffer.
+    proc = subprocess.Popen([sys.executable, "-m", "mladder.cli", "gen", "--m", "100", "--n", "100"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b"mladder gen: error: <stdout>: Broken pipe\n"
+
+
 def test_invalid_params_exit_2(capsys):
     assert main(["gen", "--m", "3", "--n", "5"]) == 2
     assert "error" in capsys.readouterr().err
@@ -138,6 +157,16 @@ def test_invalid_params_exit_2(capsys):
 def test_missing_input_file_exit_1(capsys):
     assert main(["mpoly", "--from-file", "/no/such/file"]) == 1
     assert "/no/such/file" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem")
+@pytest.mark.parametrize("out", [[], ["--out", "never-written.txt"]])
+def test_input_read_error_names_the_input(tmp_path, monkeypatch, capsys, out):
+    # /proc/self/mem opens, but reading offset 0 fails, and the error carries no path.
+    monkeypatch.chdir(tmp_path)
+    assert main(["mpoly", "--from-file", "/proc/self/mem", *out]) == 1
+    assert capsys.readouterr().err.startswith("mladder mpoly: error: /proc/self/mem: ")
+    assert not (tmp_path / "never-written.txt").exists()
 
 
 def test_malformed_input_file_exit_2(tmp_path, capsys):

@@ -286,5 +286,5 @@ labels = st.sampled_from(['r_alpha[0.5]', 'say "hi"', 'back\\slash', 'Randi\u010
     verdict=st.sampled_from(["match", "mismatch", "out-of-domain"]) | labels,
 ), max_size=6))
 def test_report_json_matches_json_dumps_on_any_cases(cases):
-    report = VerificationReport(cases=tuple(cases), summary={})
+    report = VerificationReport(cases=tuple(cases))
     assert report.to_json() == reference_report_json(report)

@@ -13,6 +13,7 @@ def test_empty_is_zero():
     assert p.terms == {}
     assert p.eval_at_one() == 0
     assert p.render("plain") == "0"
+    assert p.render("latex") == "0"
 
 
 def test_zero_coefficients_are_dropped():
@@ -52,6 +53,8 @@ def test_weight_by_zero_exponent():
 def test_render_plain_is_fully_explicit():
     p = MPoly({(3, 3): 6, (4, 4): -3, (0, 0): Fraction(1, 2)})
     assert p.render("plain") == "1/2*x^0*y^0+6*x^3*y^3-3*x^4*y^4"
+    assert MPoly({(1, 0): Fraction(-1, 2), (2, 2): 3}).render("plain") == "-1/2*x^1*y^0+3*x^2*y^2"
+    assert repr(MPoly({(3, 3): 6})) == "MPoly(6*x^3*y^3)"
 
 
 def test_render_latex():
@@ -60,6 +63,7 @@ def test_render_latex():
     assert MPoly({(1, 1): 1}).render("latex") == "xy"
     assert MPoly({(2, 1): -1}).render("latex") == "-x^{2}y"
     assert MPoly({(0, 0): Fraction(1, 2)}).render("latex") == "\\frac{1}{2}"
+    assert MPoly({(1, 0): Fraction(-1, 2), (2, 2): 3}).render("latex") == "-\\frac{1}{2}x+3x^{2}y^{2}"
 
 
 def test_render_json_round_trips():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mladder import InvalidParams, values_equal, verify_all
+from mladder import CaseResult, InvalidParams, VerificationReport, values_equal, verify_all
 
 PROPS = ("prop41", "prop42")
 
@@ -103,6 +103,23 @@ def test_text_layout():
     assert lines[0].split() == ["subject", "m", "n", "quantity", "oracle",
                                 "paper", "verdict"]
     assert "summary:" in lines
+
+
+def test_summary_is_counted_from_the_cases():
+    report = VerificationReport(cases=(
+        CaseResult(5, 2, "thm31", "x^4*y^4", Fraction(0), Fraction(-4), "mismatch"),
+        CaseResult(7, 3, "prop41", "m1", Fraction(204), Fraction(204), "match"),
+    ))
+    assert report.summary == {
+        "thm31": {"match": 0, "mismatch": 1, "out-of-domain": 0},
+        "prop41": {"match": 1, "mismatch": 0, "out-of-domain": 0},
+    }
+    assert report.theorem_mismatches() == 1
+    assert report.to_text().endswith(
+        "summary:\n"
+        "  prop41: 1 match, 0 mismatch, 0 out-of-domain\n"
+        "  thm31: 0 match, 1 mismatch, 0 out-of-domain\n"
+    )
 
 
 def test_empty_report_text():
