@@ -181,9 +181,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         output, status = COMMANDS[args.command](args, parser)
         # --out is opened only now, so a failed command leaves it untouched.
-        with open(args.out, "w", encoding="ascii", newline="") if args.out \
-                else nullcontext(sys.stdout) as fh:
-            fh.write(output)
+        with open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as fh:
+            # Under PYTHONUNBUFFERED=1 stdout is a raw stream, and a raw write
+            # may take only part of its bytes; write until all are taken.
+            view = memoryview(output.encode("ascii"))
+            while view:
+                view = view[fh.write(view):]
             fh.flush()
     except ValueError as exc:
         print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)

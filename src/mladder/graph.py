@@ -1,25 +1,39 @@
 """Simple undirected graph kernel.
 
-Vertices are the integers ``0 .. vertex_count-1``; edges are unordered
-pairs with no loops and no multiplicity (duplicates are rejected at
-construction, not merged).  On top of that sit the degree tally, the
-M-polynomial (edges tallied by their endpoint-degree pairs) and the
-line-graph transform.  The line graph's M-polynomial is also tallied
-without building it, once per distinct neighbour-degree profile of a
-vertex; only vertices with edges have one, so memory stays O(E).
-Graphs are immutable, so everything here is safe to share between workers.
+Vertices are the integers ``0 .. vertex_count-1``, at most
+:data:`MAX_VERTICES` of them; edges are unordered pairs with no loops and
+no multiplicity (duplicates are rejected at construction, not merged).
+On top of that sit the degree tally, the M-polynomial (edges tallied by
+their endpoint-degree pairs) and the line-graph transform.  The line
+graph's M-polynomial is also tallied without building it, once per
+distinct neighbour-degree profile of a vertex; only vertices with edges
+have one, so memory stays O(E).  Edge-list text in the canonical form
+that :meth:`Graph.to_edgelist` writes is parsed in bulk; any other text
+goes through a per-line parser that accepts and rejects exactly as
+before.  Graphs are immutable, so everything here is safe to share
+between workers.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
-from itertools import chain, combinations, islice, starmap
+from itertools import chain, combinations, groupby, islice, starmap
 from operator import eq, itemgetter, lt
 from typing import Iterable
 
 from .mpoly import MPoly
 
 Edge = tuple[int, int]
+
+MAX_VERTICES = 10**7
+"""The largest vertex count a graph may have.  It is checked before anything
+of that size is allocated, so a huge header or ladder size is refused at once
+with a ``ValueError`` rather than exhausting memory."""
+
+# The text to_edgelist writes: ASCII digits only ([0-9], not \d, which also
+# matches other scripts' digits), single spaces, LF after every line.
+_CANONICAL = re.compile(r"p [0-9]+ [0-9]+\n(?:[0-9]+ [0-9]+\n)*")
 
 
 class Graph:
@@ -30,20 +44,28 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
         if type(vertex_count) is not int or vertex_count < 0:
             raise ValueError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
+        if vertex_count > MAX_VERTICES:
+            raise ValueError(f"vertex_count {vertex_count} exceeds the limit of {MAX_VERTICES}")
         # Checked in bulk rather than edge by edge, ids first so that the
         # sort only ever compares ints (``type(x) is int`` also rejects
-        # bools).  On the sorted list a loop is an edge that is not strictly
-        # ordered, and a duplicate is equal to its sorted neighbour.
+        # bools).  Edges already given as (smaller, larger), as line_graph,
+        # build_ladder and canonical edge lists give them, hold no loop and
+        # need no flipping.  On the sorted list a loop is an edge that is not
+        # strictly ordered, and a duplicate is equal to its sorted neighbour.
         edges = list(edges)
         if not all(type(u) is int and type(v) is int for u, v in edges):
             u, v = next((u, v) for u, v in edges if type(u) is not int or type(v) is not int)
             raise ValueError(f"vertex identifiers must be integers, got ({u!r}, {v!r})")
-        pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+        ordered = all(starmap(lt, edges))
+        if ordered:
+            pairs = list(map(tuple, edges))  # the very objects when they are tuples
+        else:
+            pairs = [(u, v) if u < v else (v, u) for u, v in edges]
         pairs.sort()
         if pairs and (pairs[0][0] < 0 or max(map(itemgetter(1), pairs)) >= vertex_count):
             u, v = next(e for e in pairs if e[0] < 0 or e[1] >= vertex_count)
             raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
-        if not all(starmap(lt, pairs)):
+        if not ordered and not all(starmap(lt, pairs)):
             u = next(u for u, v in pairs if u == v)
             raise ValueError(f"self-loop at vertex {u}")
         if any(map(eq, pairs, islice(pairs, 1, None))):
@@ -97,15 +119,16 @@ class Graph:
         for u, v in self._edges:
             neighbours[u].append(d[v])
             neighbours[v].append(d[u])
-        counts = Counter()
-        for profile, mult in Counter(tuple(sorted(x)) for x in neighbours.values()).items():
+        counts = {}
+        for profile, mult in Counter(map(tuple, map(sorted, neighbours.values()))).items():
             shift = len(profile) - 2
-            tally = list(Counter(profile).items())  # (neighbour degree, count), ascending
-            for i, (x, c) in enumerate(tally):
-                a = shift + x
-                counts[(a, a)] += mult * c * (c - 1) // 2
-                for y, c_y in tally[i + 1:]:
-                    counts[(a, shift + y)] += mult * c * c_y
+            # (line degree, count) per run of equal neighbour degrees, ascending
+            runs = [(shift + x, len(list(run))) for x, run in groupby(profile)]
+            for a, c in runs:
+                if c > 1:
+                    counts[a, a] = counts.get((a, a), 0) + mult * c * (c - 1) // 2
+            for (a, c_a), (b, c_b) in combinations(runs, 2):
+                counts[a, b] = counts.get((a, b), 0) + mult * c_a * c_b
         return MPoly(counts)
 
     def line_graph(self) -> "Graph":
@@ -136,7 +159,23 @@ class Graph:
 
     @classmethod
     def from_edgelist(cls, text: str) -> "Graph":
-        """Parse the edge-list text format produced by :meth:`to_edgelist`."""
+        """Parse the edge-list text format produced by :meth:`to_edgelist`.
+
+        Text in exactly that canonical form is parsed in bulk.  Anything
+        else -- CR or blank lines, other blanks, signs, underscores, a
+        missing final newline, a wrong edge count, an id too long for
+        ``int()`` -- goes through the per-line parser, which accepts what
+        ``int()`` accepts on each field and names the offending line.
+        """
+        if _CANONICAL.fullmatch(text):
+            try:
+                numbers = list(map(int, text[2:].split()))
+            except ValueError:  # an id past int()'s digit limit: the line parser names it
+                pass
+            else:
+                if len(numbers) == 2 * numbers[1] + 2:  # else the line parser reports the count
+                    ids = islice(numbers, 2, None)
+                    return cls(numbers[0], list(zip(ids, ids)))
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("empty edge-list input")

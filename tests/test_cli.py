@@ -149,6 +149,33 @@ def test_stdout_closed_early_exit_1():
     assert err == b"mladder gen: error: <stdout>: Broken pipe\n"
 
 
+def test_stdout_closed_mid_write_unbuffered_exit_1():
+    # Unbuffered, stdout is a raw stream, whose write may take only part of
+    # the 6.6 MB edge list of M_{1000,300} before the reader leaves.
+    proc = subprocess.Popen([sys.executable, "-m", "mladder.cli", "gen", "--m", "1000", "--n", "300"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONUNBUFFERED="1"))
+    proc.stdout.read(1)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b"mladder gen: error: <stdout>: Broken pipe\n"
+
+
+@pytest.mark.parametrize("header,argv,message", [
+    ("p 100000000000 0\n", ["mpoly"], "vertex_count 100000000000 exceeds the limit of 10000000"),
+    (None, ["gen", "--m", "100000", "--n", "100000"], "(m-1)*n = 9999900000 vertices"),
+])
+def test_vertex_count_past_the_limit_exit_2(tmp_path, capsys, header, argv, message):
+    # Refused before anything of that size is allocated: not a hang or a MemoryError.
+    if header is not None:
+        (tmp_path / "big.edgelist").write_text(header, encoding="ascii")
+        argv = argv + ["--from-file", str(tmp_path / "big.edgelist")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err.splitlines()[0]
+
+
 def test_invalid_params_exit_2(capsys):
     assert main(["gen", "--m", "3", "--n", "5"]) == 2
     assert "error" in capsys.readouterr().err

@@ -8,7 +8,9 @@ per-edge loops those replaced; both versions must give the same values
 edge lists.  ``Graph.line_m_polynomial`` tallies the line graph's
 M-polynomial from the degree-transfer law once per neighbour-degree
 profile; it must equal both the per-vertex tally it replaced and the
-M-polynomial of the materialized line graph.  ``VerificationReport.to_json``
+M-polynomial of the materialized line graph.  ``Graph.from_edgelist`` parses
+canonical text in bulk; it must give the same graph or the same error
+message as the per-line parser alone.  ``VerificationReport.to_json``
 lays its records out from a template; it must give the very bytes of
 ``json.dumps(records, indent=2)``, which it replaced.
 """
@@ -108,6 +110,16 @@ def hub_graph(seed, vertices=2000, background_edges=4000, hubs=4, hub_degree=60)
     return Graph(vertices, edges)
 
 
+def hubs_on_a_cycle(seed, vertices=400, hubs=4, hub_degree=40):
+    """Hubs joined to random vertices of a cycle: nearly every neighbour of a hub
+    has degree 3, so a hub's profile is a few long runs of equal degrees."""
+    rng = random.Random(seed)
+    edges = [(v, (v + 1) % vertices) for v in range(vertices)]
+    edges += [(v, h) for h in range(vertices, vertices + hubs)
+              for v in rng.sample(range(vertices), hub_degree)]
+    return Graph(vertices + hubs, edges)
+
+
 def assert_same_line_mpoly(g):
     got = g.line_m_polynomial()
     assert got == reference_line_mpoly(g)
@@ -165,7 +177,9 @@ def test_line_mpoly_matches_line_graph_on_corpus():
     star_graph(300),
     Graph(9, path_graph(6).edges),
     hub_graph(seed=2015),
-], ids=["empty", "isolated-only", "single-edge", "star-300", "path-with-isolated", "hubs"])
+    hubs_on_a_cycle(seed=2015),
+], ids=["empty", "isolated-only", "single-edge", "star-300", "path-with-isolated", "hubs",
+        "hubs-on-a-cycle"])
 def test_line_mpoly_edge_cases(g):
     assert_same_line_mpoly(g)
 
@@ -239,6 +253,110 @@ def test_constructor_matches_reference_on_valid_graphs(g):
 def test_constructor_messages(edges, message):
     with pytest.raises(ValueError, match=message):
         Graph(3, edges)
+
+
+def flipped(edges):
+    return [(v, u) for u, v in edges]
+
+
+@given(simple_graphs())
+def test_orientation_builds_equal_graphs(g):
+    # Edges given as (smaller, larger) skip the flipping; flipped ones do not.
+    assert Graph(g.vertex_count, g.edges) == Graph(g.vertex_count, flipped(g.edges)) == g
+    as_lists = Graph(g.vertex_count, [list(e) for e in g.edges])
+    assert as_lists == g and all(type(e) is tuple for e in as_lists.edges)
+
+
+@pytest.mark.parametrize("bad,flip_bad,message", [
+    ([(0, 1.0)], False, r"vertex identifiers must be integers, got \(0, 1.0\)"),
+    ([(1, 4)], True, r"edge \(1, 4\) out of range for 4 vertices"),
+    ([(-1, 2)], True, r"edge \(-1, 2\) out of range for 4 vertices"),
+    ([(3, 3)], True, "self-loop at vertex 3"),
+    ([(0, 2)], True, r"parallel edge \(0, 2\)"),
+])
+def test_orientation_keeps_error_messages(bad, flip_bad, message):
+    # The type error quotes the edge as given, so that edge keeps its orientation.
+    base = [(0, 1), (0, 2), (1, 3)]
+    for edges in (base + bad, flipped(base) + bad, base + (flipped(bad) if flip_bad else bad)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(4, edges)
+
+
+def per_line_from_edgelist(text):
+    """The per-line parser alone, as ``Graph.from_edgelist`` ran on every text
+    before canonical text got its bulk path."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("empty edge-list input")
+    header = lines[0].split()
+    if len(header) != 3 or header[0] != "p":
+        raise ValueError(f"malformed header line {lines[0]!r}; expected 'p <vertices> <edges>'")
+    try:
+        vertex_count, edge_count = int(header[1]), int(header[2])
+    except ValueError:
+        raise ValueError(f"malformed header line {lines[0]!r}") from None
+    if len(lines) - 1 != edge_count:
+        raise ValueError(f"header declares {edge_count} edges but {len(lines) - 1} lines follow")
+    edges = []
+    for line in lines[1:]:
+        try:
+            u, v = line.split()
+            edges.append((int(u), int(v)))
+        except ValueError:
+            raise ValueError(f"malformed edge line {line!r}") from None
+    return Graph(vertex_count, edges)
+
+
+def assert_parses_like_per_line(text):
+    try:
+        want = per_line_from_edgelist(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Graph.from_edgelist(text)
+        assert str(got.value) == str(exc)
+        return
+    assert Graph.from_edgelist(text) == want
+
+
+HUGE_ID = "1" * 5000  # past int()'s default limit of 4300 digits
+
+
+@st.composite
+def edgelist_texts(draw):
+    """Edge-list text, canonical or not: ids in int()'s other spellings, other
+    blanks and line ends, blank lines, wrong counts, no final newline."""
+    number = st.integers(0, 9).map(str) | st.sampled_from(["+1", "1_0", "007", "-1", "x", HUGE_ID])
+    pairs = draw(st.lists(st.tuples(number, number), max_size=8))
+    declared = draw(st.sampled_from([str(len(pairs)), "0", "3", "+2", HUGE_ID]))
+    blank = st.sampled_from([" ", "\t", "  "])
+    end = draw(st.sampled_from(["\n", "\r\n", "\n\n", "\n \n"]))
+    lines = [f"p {draw(st.sampled_from(['10', '4', '010']))} {declared}"]
+    lines += [f"{u}{draw(blank)}{v}" for u, v in pairs]
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@given(simple_graphs().map(Graph.to_edgelist) | edgelist_texts())
+def test_edgelist_parses_like_per_line(text):
+    assert_parses_like_per_line(text)
+
+
+@pytest.mark.parametrize("text", [
+    "p 3 2\r\n0 1\r\n1 2\r\n",
+    "p 3 2\n\n0 1\n\n1 2\n",
+    "p 3 2\n0\t1\n1 2\n",
+    "p 3 2\n0 +1\n1 2\n",
+    "p 21 2\n0 1\n1 2_0\n",
+    "p 03 2\n00 01\n1 002\n",
+    "p 3 2\n-1 1\n1 2\n",
+    "p 3 2\n0 1\n1 2",
+    f"p 3 1\n0 {HUGE_ID}\n",
+    f"p 3 {HUGE_ID}\n0 1\n",
+    "p 3 2\n0 1\n",
+    "p 3 1\n0 1\n1 2\n",
+], ids=["crlf", "blank-lines", "tab", "plus-sign", "underscore", "leading-zeros", "negative-id",
+        "no-final-newline", "5000-digit-id", "5000-digit-count", "too-few-edges", "too-many-edges"])
+def test_edgelist_cases_parse_like_per_line(text):
+    assert_parses_like_per_line(text)
 
 
 def test_bool_vertex_ids_are_rejected():

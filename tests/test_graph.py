@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mladder import Graph
+from mladder.graph import MAX_VERTICES
 
 from conftest import cycle_graph, path_graph, star_graph
 
@@ -42,6 +43,12 @@ def test_rejects_out_of_range_vertex():
             Graph(vertex_count, [])
 
 
+def test_rejects_vertex_count_past_the_limit():
+    message = f"^vertex_count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}$"
+    with pytest.raises(ValueError, match=message):
+        Graph(MAX_VERTICES + 1)
+
+
 def test_line_graph_of_path():
     # edges of P4 are (0,1) < (1,2) < (2,3); consecutive ones share a vertex
     line = path_graph(4).line_graph()
@@ -70,7 +77,7 @@ def test_from_edgelist_rejects_malformed():
         Graph.from_edgelist("")
     with pytest.raises(ValueError):
         Graph.from_edgelist("q 3 2\n0 1\n1 2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^header declares 2 edges but 1 lines follow$"):
         Graph.from_edgelist("p 3 2\n0 1\n")
     for line in ("0", "0 1 2", "0 x"):
         with pytest.raises(ValueError, match=f"^malformed edge line '{line}'$"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mladder.ladder
 from mladder import InvalidParams, build_ladder
 
 ms = st.integers(4, 12)
@@ -27,6 +28,14 @@ def test_degree_tally():
 def test_edges_by_degree_pair():
     g = build_ladder(7, 3)
     assert g.m_polynomial().terms == {(3, 3): 12, (3, 4): 12, (4, 4): 6}
+
+
+def test_vertex_limit_boundary(monkeypatch):
+    # At a lowered limit: M_{5,3} has exactly 12 vertices, M_{5,4} has 16.
+    monkeypatch.setattr(mladder.ladder, "MAX_VERTICES", 12)
+    assert build_ladder(5, 3).vertex_count == 12
+    with pytest.raises(InvalidParams, match="more than the limit of 12"):
+        build_ladder(5, 4)
 
 
 def test_rejects_small_parameters():
