@@ -115,14 +115,9 @@ def _base_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Gr
 
 
 def _indexset_json(s: IndexSet) -> dict:
-    return {
-        "m1": json_value(s.m1),
-        "m2": json_value(s.m2),
-        "mm2": json_value(s.mm2),
-        "sdd": json_value(s.sdd),
-        "r_alpha": {alpha_label(a): json_value(v) for a, v in s.r_alpha.items()},
-        "rr_alpha": {alpha_label(a): json_value(v) for a, v in s.rr_alpha.items()},
-    }
+    return {name: {alpha_label(a): json_value(v) for a, v in value.items()}
+            if isinstance(value, dict) else json_value(value)
+            for name, value in s._asdict().items()}
 
 
 def _cmd_graph(args, parser) -> tuple[str, int]:

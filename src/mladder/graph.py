@@ -138,13 +138,14 @@ class Graph:
         lexicographic order; two of them are adjacent iff the underlying
         edges share an endpoint.  In a simple graph two distinct edges share
         at most one endpoint, so collecting the pairs incident to each
-        vertex produces every line-graph edge exactly once.
+        vertex produces every line-graph edge exactly once.  Only vertices
+        with edges get an incidence list: O(E) memory.
         """
-        incident: list[list[int]] = [[] for _ in range(self._n)]
+        incident = defaultdict(list)
         for index, (u, v) in enumerate(self._edges):
             incident[u].append(index)
             incident[v].append(index)
-        line_edges = [pair for around in incident for pair in combinations(around, 2)]
+        line_edges = [pair for around in incident.values() for pair in combinations(around, 2)]
         return Graph(len(self._edges), line_edges)
 
     def to_edgelist(self) -> str:

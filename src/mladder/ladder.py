@@ -22,12 +22,15 @@ class InvalidParams(ValueError):
 def build_ladder(m: int, n: int) -> Graph:
     """Construct M_{m,n}: after identification, ``m - 1`` columns of ``n`` rows.
 
-    Vertices are v(c, r) for column ``c in 0..m-2`` and row ``r in 1..n``
-    with identifier ``c*n + (r-1)``.  Edges:
+    Vertex ``v = c*n + r`` is row ``r in 0..n-1`` of column ``c in 0..m-2``;
+    with ``size = (m-1)*n`` the edges are:
 
-    * vertical   (v(c, r), v(c, r+1))        all c, 1 <= r <= n-1
-    * horizontal (v(c, r), v(c+1, r))        0 <= c <= m-3, all r
-    * twist      (v(0, n+1-r), v(m-2, r))    all r
+    * vertical   ``(v, v+1)``                for ``v % n != n-1``
+    * horizontal ``(v, v+n)``                for ``v < size-n``
+    * twist      ``(n-1-r, size-n+r)``       for ``r < n``
+
+    The twist edges are the grid's horizontal edges into its column ``m-1``,
+    which is column 0 with its rows reversed.
 
     The result has ``(m-1)*n`` vertices and ``(m-1)*(2n-1)`` edges, with
     ``2(m-1)`` vertices of degree 3 and ``(m-1)(n-2)`` of degree 4.
@@ -42,20 +45,11 @@ def build_ladder(m: int, n: int) -> Graph:
         raise InvalidParams(f"m and n must be integers, got ({m!r}, {n!r})")
     if m < MIN_M or n < MIN_N:
         raise InvalidParams(f"need m >= {MIN_M} and n >= {MIN_N}, got (m={m}, n={n})")
-    if (m - 1) * n > MAX_VERTICES:
-        raise InvalidParams(f"M_{{m,n}} has (m-1)*n = {(m - 1) * n} vertices, more than the "
+    size = (m - 1) * n
+    if size > MAX_VERTICES:
+        raise InvalidParams(f"M_{{m,n}} has (m-1)*n = {size} vertices, more than the "
                             f"limit of {MAX_VERTICES} (m={m}, n={n})")
-
-    def vid(c: int, r: int) -> int:
-        return c * n + (r - 1)
-
-    edges = []
-    for c in range(m - 1):
-        for r in range(1, n):
-            edges.append((vid(c, r), vid(c, r + 1)))
-    for c in range(m - 2):
-        for r in range(1, n + 1):
-            edges.append((vid(c, r), vid(c + 1, r)))
-    for r in range(1, n + 1):
-        edges.append((vid(0, n + 1 - r), vid(m - 2, r)))
-    return Graph((m - 1) * n, edges)
+    vertical = [(v, v + 1) for v in range(size) if v % n != n - 1]
+    horizontal = [(v, v + n) for v in range(size - n)]
+    twist = [(n - 1 - r, size - n + r) for r in range(n)]
+    return Graph(size, vertical + horizontal + twist)

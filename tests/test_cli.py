@@ -72,6 +72,19 @@ def test_from_file_excludes_size_flags(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--m", "5"], "gen: --m and --n are required"),
+    (["line"], "line: --m and --n are required"),
+    (["mpoly", "--n", "3"], "mpoly: --m and --n are required (or --from-file)"),
+    (["indices", "--line"], "indices: --m and --n are required (or --from-file)"),
+])
+def test_missing_graph_source_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"mladder: error: {message}"
+
+
 @pytest.mark.parametrize("command,flags", [
     ("gen", "--help --out --m --n --format"),
     ("line", "--help --out --m --n --format"),

@@ -195,6 +195,17 @@ def test_line_mpoly_memory_does_not_grow_with_vertex_count():
     assert peak < 256 * 1024  # one byte per vertex would already be 1e6 bytes
 
 
+def test_line_graph_memory_does_not_grow_with_vertex_count():
+    g = Graph(10**6, [(0, 1), (1, 2), (2, 3)])
+    tracemalloc.start()
+    try:
+        assert g.line_graph() == Graph(3, [(0, 1), (1, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024  # one empty list per vertex would already be 56e6 bytes
+
+
 def test_line_mpoly_of_star_and_single_edge():
     assert star_graph(300).line_m_polynomial() == MPoly({(299, 299): 300 * 299 // 2})
     assert Graph(2, [(0, 1)]).line_m_polynomial() == MPoly()

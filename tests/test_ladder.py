@@ -101,8 +101,8 @@ def grid_quotient(m, n):
 
 
 def test_generator_matches_its_definition():
-    for m in range(4, 15):
-        for n in range(2, 15):
-            g = build_ladder(m, n)
-            assert g.vertex_count == (m - 1) * n
-            assert list(g.edges) == grid_quotient(m, n), (m, n)
+    points = [(m, n) for m in range(4, 15) for n in range(2, 15)]
+    for m, n in points + [(4, 60), (60, 2), (31, 17)]:
+        g = build_ladder(m, n)
+        assert g.vertex_count == (m - 1) * n
+        assert list(g.edges) == grid_quotient(m, n), (m, n)
