@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .graph import Graph
 from .indices import IndexSet, alpha_label, alpha_list, indices_from_edges, indices_from_mpoly
-from .ladder import InvalidParams, build_ladder
+from .ladder import MIN_M, MIN_N, InvalidParams, build_ladder
 from .verify import SUBJECT_GROUPS, json_value, table, text_value, values_equal, verify_all
 
 PROG = "mladder"
@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
     size = argparse.ArgumentParser(add_help=False)
-    size.add_argument("--m", type=int, help="ladder parameter m (columns before identification, >= 4)")
-    size.add_argument("--n", type=int, help="ladder parameter n (rows, >= 2)")
+    size.add_argument("--m", type=int, help=f"ladder parameter m (columns before identification, >= {MIN_M})")
+    size.add_argument("--n", type=int, help=f"ladder parameter n (rows, >= {MIN_N})")
 
     source = argparse.ArgumentParser(add_help=False, parents=[common, size])
     source.add_argument("--line", action="store_true", help="use the line graph of the base graph")

@@ -8,21 +8,39 @@ brute-force graph enumeration and report where they agree and where they
 do not.  The M-polynomial forms return an ``MPoly`` and the index forms
 an ``IndexSet``, the same types the enumeration routes produce.  Each
 index expression is evaluated in integers, with its one stated divisor
-(144, 100 or 72) applied as a single ``Fraction`` at the end.  The
-subject labels used in reports are ``thm31``/``thm32`` for the two
-M-polynomial forms and ``prop41``/``prop42`` for the index sets.
+(144, 100 or 72) applied as a single ``Fraction`` at the end.  Each
+claim's report label, formula, kind, graph, stated domain and default grid
+are one row of :data:`CLAIMS`, the table everything else reads them from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .indices import Alpha, IndexSet, Real, check_alpha_digits, normalize_alpha
+from .ladder import MIN_M
 from .mpoly import MPoly
 
-# Smallest n each claim is stated for (every claim needs m >= 4).
-STATED_MIN_N = {"thm31": 2, "thm32": 4, "prop41": 2, "prop42": 4}
+
+class Claim(NamedTuple):
+    """One claim of the paper, stated for ``m >= MIN_M`` and ``n >= min_n``."""
+
+    formula: str               # the closed form's name here, looked up per call
+    theorem: bool              # an M-polynomial claim, whose mismatch fails a verify run
+    line: bool                 # about the line graph, not the ladder
+    min_n: int
+    grid_max: tuple[int, int]  # the default grid runs from (MIN_M, min_n) to this (m, n)
+
+
+# Formulas are named rather than referenced so that wrapping this module's
+# functions after import (as the benchmark's layer trace does) covers them.
+CLAIMS = {
+    "thm31": Claim("thm31_mpoly", True, False, 2, (12, 10)),
+    "thm32": Claim("thm32_mpoly", True, True, 4, (10, 10)),
+    "prop41": Claim("prop41_indices", False, False, 2, (12, 10)),
+    "prop42": Claim("prop42_indices", False, True, 4, (10, 10)),
+}
 
 
 class OutOfStatedRange(ValueError):
@@ -32,9 +50,9 @@ class OutOfStatedRange(ValueError):
 def _check_range(m: int, n: int, label: str) -> None:
     if not (isinstance(m, int) and isinstance(n, int)):
         raise OutOfStatedRange(f"{label}: m and n must be integers, got ({m!r}, {n!r})")
-    min_n = STATED_MIN_N[label]
-    if m < 4 or n < min_n:
-        raise OutOfStatedRange(f"{label} is stated for m >= 4, n >= {min_n}; got (m={m}, n={n})")
+    min_n = CLAIMS[label].min_n
+    if m < MIN_M or n < min_n:
+        raise OutOfStatedRange(f"{label} is stated for m >= {MIN_M}, n >= {min_n}; got (m={m}, n={n})")
 
 
 def _power(base: Fraction, alpha: Alpha) -> Real:
@@ -53,9 +71,7 @@ def _index_set(m1: Fraction, m2: Fraction, mm2: Fraction, sdd: Fraction,
 
 
 def thm31_mpoly(m: int, n: int) -> MPoly:
-    """Claimed M-polynomial of M_{m,n} (report subject ``thm31``).
-
-    Stated for m >= 4, n >= 2:
+    """Claimed M-polynomial of M_{m,n}:
     ``2(m-1) x^3 y^3 + 2(m-1) x^3 y^4 + (m-1)(2n-5) x^4 y^4``.
     At n = 2 the last coefficient is negative; the formula is returned
     as stated so the verifier can exhibit the discrepancy.
@@ -71,9 +87,7 @@ def thm31_mpoly(m: int, n: int) -> MPoly:
 
 
 def thm32_mpoly(m: int, n: int) -> MPoly:
-    """Claimed M-polynomial of the line graph of M_{m,n} (subject ``thm32``).
-
-    Stated for m, n >= 4:
+    """Claimed M-polynomial of the line graph of M_{m,n}:
     ``2(m-1) x^4 y^4 + 4(m-1) x^4 y^5 + 6(m-1) x^5 y^6 + 6(m-1)(n-3) x^6 y^6``.
     """
     _check_range(m, n, "thm32")
@@ -88,7 +102,7 @@ def thm32_mpoly(m: int, n: int) -> MPoly:
 
 
 def prop41_indices(m: int, n: int, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
-    """Claimed index expressions for M_{m,n} (report subject ``prop41``).
+    """Claimed index expressions for M_{m,n}.
 
     ``r_alpha``/``rr_alpha`` are keyed by each normalized alpha: exact for
     integer alpha, double-precision floats otherwise.
@@ -103,7 +117,7 @@ def prop41_indices(m: int, n: int, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
 
 
 def prop42_indices(m: int, n: int, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
-    """Claimed index expressions for the line graph of M_{m,n} (subject ``prop42``)."""
+    """Claimed index expressions for the line graph of M_{m,n}."""
     _check_range(m, n, "prop42")
     k = (m - 1) ** 2
     m2 = Fraction(72 * (9 * n - 11) * (2 * n - 3) * k)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from itertools import chain, combinations, groupby, islice, starmap
+from itertools import chain, combinations, groupby, islice, repeat, starmap
 from operator import eq, itemgetter, lt
 from typing import Iterable
 
@@ -74,7 +74,7 @@ class Graph:
         counts = Counter(chain.from_iterable(pairs))
         self._n = vertex_count
         self._edges: tuple[Edge, ...] = tuple(pairs)
-        self._degrees = tuple(map(counts.__getitem__, range(vertex_count)))
+        self._degrees = tuple(map(counts.get, range(vertex_count), repeat(0)))
 
     @property
     def vertex_count(self) -> int:

@@ -30,6 +30,7 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import closed_forms
+from .closed_forms import CLAIMS, Claim
 from .graph import Graph
 from .indices import Alpha, Real, alpha_list, indices_from_edges
 from .ladder import MIN_M, MIN_N, InvalidParams, build_ladder
@@ -38,36 +39,12 @@ Range = tuple[int, int]
 
 REL_TOL = 1e-12
 
-THEOREM_SUBJECTS = ("thm31", "thm32")
-
-
-class Subject(NamedTuple):
-    """What one verification subject checks, and where.
-
-    The smallest ``n`` a claim is stated for lives with the claim, in
-    ``closed_forms.STATED_MIN_N``.
-    """
-
-    formula: str               # closed form's name in closed_forms, looked up per call
-    line: bool                 # the claim is about the line graph, not the ladder
-    grid: tuple[Range, Range]  # default inclusive (m_range, n_range)
-
-
-# Formulas are named rather than referenced so that wrapping closed_forms'
-# functions after import (as the benchmark's layer trace does) covers them.
-SUBJECTS = {
-    "thm31": Subject("thm31_mpoly", False, ((4, 12), (2, 10))),
-    "thm32": Subject("thm32_mpoly", True, ((4, 10), (4, 10))),
-    "prop41": Subject("prop41_indices", False, ((4, 12), (2, 10))),
-    "prop42": Subject("prop42_indices", True, ((4, 10), (4, 10))),
-}
-
-# The subject groups a caller may ask for by one name, in the order to offer them.
+# The subject groups a caller may ask for by one name, in the order to offer
+# them: each theorem on its own, then the propositions, then every claim.
 SUBJECT_GROUPS = {
-    "thm31": ("thm31",),
-    "thm32": ("thm32",),
-    "props": ("prop41", "prop42"),
-    "all": tuple(SUBJECTS),
+    **{label: (label,) for label, claim in CLAIMS.items() if claim.theorem},
+    "props": tuple(label for label, claim in CLAIMS.items() if not claim.theorem),
+    "all": tuple(CLAIMS),
 }
 
 
@@ -99,7 +76,7 @@ class VerificationReport(NamedTuple):
 
     def theorem_mismatches(self) -> int:
         """Number of mismatching cases in theorem subjects (build-breaking)."""
-        return sum(c.verdict == "mismatch" for c in self.cases if c.subject in THEOREM_SUBJECTS)
+        return sum(c.verdict == "mismatch" and CLAIMS[c.subject].theorem for c in self.cases)
 
     def to_json(self) -> str:
         """Serialize as a JSON array of case records.
@@ -219,15 +196,16 @@ def _check_ranges(m_range: Range, n_range: Range) -> None:
 _ZERO = Fraction(0)  # a theorem term missing on one side
 
 
-def _rows(subject: str, m: int, n: int, g: Graph, formula,
+def _rows(claim: Claim, m: int, n: int, g: Graph,
           alphas: Sequence[Alpha]) -> list[tuple[str, Real, Real]]:
-    """One subject's ``(quantity, oracle, paper)`` rows at one grid point.
+    """One claim's ``(quantity, oracle, paper)`` rows at one grid point.
 
     A theorem gives one row per exponent pair in either polynomial, a
     term missing on one side read as zero; a proposition gives the index
     rows of :meth:`IndexSet.paired`.
     """
-    if subject in THEOREM_SUBJECTS:
+    formula = getattr(closed_forms, claim.formula)
+    if claim.theorem:
         oracle, paper = g.m_polynomial().terms, formula(m, n).terms
         return [(f"x^{i}*y^{j}", oracle.get((i, j), _ZERO), paper.get((i, j), _ZERO))
                 for i, j in sorted(oracle.keys() | paper.keys())]
@@ -236,24 +214,24 @@ def _rows(subject: str, m: int, n: int, g: Graph, formula,
 
 
 def verify_all(alphas: Iterable[Alpha] = (1,),
-               subjects: Sequence[str] = tuple(SUBJECTS),
+               subjects: Sequence[str] = tuple(CLAIMS),
                m_range: Optional[Range] = None,
                n_range: Optional[Range] = None) -> VerificationReport:
-    """Run ``subjects`` (keys of :data:`SUBJECTS`) over one grid and report every case.
+    """Run ``subjects`` (keys of ``closed_forms.CLAIMS``) over one grid; report every case.
 
-    Without ranges each subject runs on its default grid; explicit ranges
-    apply to every subject, and points below a subject's stated domain are
-    recorded as out-of-domain.  Each grid point's ladder is built once and
-    its line graph at most once, then shared by every subject at that
-    point; nothing is kept from one point to the next.
+    Without ranges each subject runs on its claim's default grid; explicit
+    ranges apply to every subject, and points below a subject's stated
+    domain are recorded as out-of-domain.  Each grid point's ladder is
+    built once and its line graph at most once, then shared by every
+    subject at that point; nothing is kept from one point to the next.
     """
     alphas = alpha_list(alphas)
     grids: dict[str, tuple[Range, Range]] = {}
     for subject in subjects:
-        if subject not in SUBJECTS:
-            raise InvalidParams(f"unknown subject {subject!r}; expected one of {', '.join(SUBJECTS)}")
-        default = SUBJECTS[subject].grid
-        grids[subject] = (m_range or default[0], n_range or default[1])
+        if subject not in CLAIMS:
+            raise InvalidParams(f"unknown subject {subject!r}; expected one of {', '.join(CLAIMS)}")
+        m_max, n_max = CLAIMS[subject].grid_max
+        grids[subject] = (m_range or (MIN_M, m_max), n_range or (CLAIMS[subject].min_n, n_max))
         _check_ranges(*grids[subject])
     cases: list[CaseResult] = []
     points = {p for (m_lo, m_hi), (n_lo, n_hi) in grids.values()
@@ -263,18 +241,18 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
         for subject, ((m_lo, m_hi), (n_lo, n_hi)) in grids.items():
             if not (m_lo <= m <= m_hi and n_lo <= n <= n_hi):
                 continue
-            spec = SUBJECTS[subject]
-            if n < closed_forms.STATED_MIN_N[subject]:
+            claim = CLAIMS[subject]
+            if n < claim.min_n:
                 rows = [("all", None, None)]
             else:
                 if ladder is None:
                     ladder = build_ladder(m, n)
                 g = ladder
-                if spec.line:
+                if claim.line:
                     if line is None:
                         line = ladder.line_graph()
                     g = line
-                rows = _rows(subject, m, n, g, getattr(closed_forms, spec.formula), alphas)
+                rows = _rows(claim, m, n, g, alphas)
             cases.extend(
                 CaseResult(m=m, n=n, subject=subject, quantity=quantity,
                            computed=got, closed_form=want,

@@ -12,7 +12,12 @@ from mladder import (
     prop42_indices,
     thm31_mpoly,
     thm32_mpoly,
+    verify_all,
 )
+from mladder import closed_forms
+from mladder.closed_forms import CLAIMS
+from mladder.ladder import MIN_M, MIN_N
+from mladder.verify import SUBJECT_GROUPS
 
 
 def test_thm31_substitution():
@@ -50,15 +55,23 @@ def test_thm32_n3_term_vanishes():
     }
 
 
-def test_stated_ranges_are_enforced():
-    with pytest.raises(OutOfStatedRange):
-        thm31_mpoly(3, 5)
-    with pytest.raises(OutOfStatedRange):
-        thm32_mpoly(4, 3)
-    with pytest.raises(OutOfStatedRange):
-        prop41_indices(3, 3)
-    with pytest.raises(OutOfStatedRange):
-        prop42_indices(4, 3)
+@pytest.mark.parametrize("label", CLAIMS)
+def test_stated_ranges_are_enforced(label):
+    # One row of CLAIMS drives both the form's own check and verify's, and
+    # the --subject groups are derived from the table.
+    claim = CLAIMS[label]
+    form = getattr(closed_forms, claim.formula)
+    for m, n in ((MIN_M - 1, claim.min_n), (MIN_M, claim.min_n - 1)):
+        with pytest.raises(OutOfStatedRange, match=f"^{label} is stated for m >= {MIN_M}, "
+                                                   f"n >= {claim.min_n}; got \\(m={m}, n={n}\\)$"):
+            form(m, n)
+    form(MIN_M, claim.min_n)
+    report = verify_all(subjects=(label,), m_range=(MIN_M, MIN_M), n_range=(MIN_N, claim.min_n))
+    assert {c.n for c in report.cases} == set(range(MIN_N, claim.min_n + 1))
+    assert {c.n for c in report.cases if c.verdict == "out-of-domain"} == set(range(MIN_N, claim.min_n))
+    assert SUBJECT_GROUPS == {"thm31": ("thm31",), "thm32": ("thm32",),
+                              "props": ("prop41", "prop42"),
+                              "all": ("thm31", "thm32", "prop41", "prop42")}
 
 
 def test_prop41_values():

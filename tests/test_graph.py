@@ -1,12 +1,13 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mladder import Graph
+from mladder import Graph, build_ladder
 from mladder.graph import MAX_VERTICES
 
 from conftest import cycle_graph, path_graph, star_graph
@@ -122,6 +123,25 @@ def test_line_graph_degree_transfer(g):
     d, line_d = g.degrees(), g.line_graph().degrees()
     for idx, (u, v) in enumerate(g.edges):
         assert line_d[idx] == d[u] + d[v] - 2
+
+
+def line_graph_by_definition(g):
+    """L(g) as defined: one vertex per edge of g (in g.edges order), and two of
+    them adjacent iff their edges share an endpoint, every pair looked at."""
+    pairs = [(a, b) for (a, e), (b, f) in combinations(enumerate(g.edges), 2) if set(e) & set(f)]
+    return Graph(g.edge_count, pairs)
+
+
+@given(graphs())
+def test_line_graph_matches_its_definition(g):
+    assert g.line_graph() == line_graph_by_definition(g)
+
+
+def test_ladder_line_graphs_match_their_definition():
+    for m in range(4, 9):
+        for n in range(2, 9):
+            g = build_ladder(m, n)
+            assert g.line_graph() == line_graph_by_definition(g), (m, n)
 
 
 @given(graphs())

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mladder.ladder
-from mladder import InvalidParams, build_ladder
+from mladder import Graph, InvalidParams, build_ladder
 
 ms = st.integers(4, 12)
 ns = st.integers(2, 10)
@@ -106,3 +106,24 @@ def test_generator_matches_its_definition():
         g = build_ladder(m, n)
         assert g.vertex_count == (m - 1) * n
         assert list(g.edges) == grid_quotient(m, n), (m, n)
+
+
+def untwisted_prism(m, n):
+    """C_{m-1} x P_n: M_{m,n} with each twist edge joining row r to row r."""
+    size = (m - 1) * n
+    # Vertical edges span 1 id and horizontal ones n; every twist edge spans more.
+    grid = [(u, v) for u, v in build_ladder(m, n).edges if v - u in (1, n)]
+    assert len(grid) == (m - 1) * (2 * n - 1) - n
+    return Graph(size, grid + [(r, size - n + r) for r in range(n)])
+
+
+def test_degrees_cannot_see_the_twist():
+    # The twist maps boundary rows to boundary rows, so the prism and the
+    # ladder differ as graphs but not in any degree-based tally.
+    for m in range(4, 12):
+        for n in range(2, 12):
+            ladder, prism = build_ladder(m, n), untwisted_prism(m, n)
+            assert prism != ladder, (m, n)
+            assert prism.m_polynomial() == ladder.m_polynomial(), (m, n)
+            assert prism.line_m_polynomial() == ladder.line_m_polynomial(), (m, n)
+            assert prism.line_graph().m_polynomial() == ladder.line_graph().m_polynomial(), (m, n)
