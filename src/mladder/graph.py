@@ -4,7 +4,8 @@ Vertices are the integers ``0 .. vertex_count-1``, at most
 :data:`MAX_VERTICES` of them; edges are unordered pairs with no loops and
 no multiplicity (duplicates are rejected at construction, not merged).
 On top of that sit the degree tally, the M-polynomial (edges tallied by
-their endpoint-degree pairs) and the line-graph transform.  The line
+their endpoint-degree pairs) and the line-graph transform, whose result
+may have at most :data:`MAX_EDGES` edges.  The line
 graph's M-polynomial is also tallied without building it, once per
 distinct neighbour-degree profile of a vertex; only vertices with edges
 have one, so memory stays O(E).  Edge-list text in the canonical form
@@ -19,6 +20,7 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from itertools import chain, combinations, groupby, islice, repeat, starmap
+from math import comb
 from operator import eq, itemgetter, lt
 from typing import Iterable
 
@@ -30,6 +32,11 @@ MAX_VERTICES = 10**7
 """The largest vertex count a graph may have.  It is checked before anything
 of that size is allocated, so a huge header or ladder size is refused at once
 with a ``ValueError`` rather than exhausting memory."""
+
+MAX_EDGES = 10**7
+"""The largest edge count a generated graph may have: a ladder, or a line
+graph.  Like :data:`MAX_VERTICES` it is checked before the edges are
+allocated, from a count that is cheap to compute."""
 
 # The text to_edgelist writes: ASCII digits only ([0-9], not \d, which also
 # matches other scripts' digits), single spaces, LF after every line.
@@ -139,8 +146,14 @@ class Graph:
         edges share an endpoint.  In a simple graph two distinct edges share
         at most one endpoint, so collecting the pairs incident to each
         vertex produces every line-graph edge exactly once.  Only vertices
-        with edges get an incidence list: O(E) memory.
+        with edges get an incidence list: O(E) memory.  A vertex of degree
+        ``d`` joins ``C(d, 2)`` pairs, and a line graph of more than
+        :data:`MAX_EDGES` edges is refused with a ``ValueError`` before any
+        pair is made.
         """
+        size = sum(map(comb, filter(None, self._degrees), repeat(2)))
+        if size > MAX_EDGES:
+            raise ValueError(f"the line graph has {size} edges, more than the limit of {MAX_EDGES}")
         incident = defaultdict(list)
         for index, (u, v) in enumerate(self._edges):
             incident[u].append(index)

@@ -19,7 +19,9 @@ Reciprocal generalized      RR_a = sum (d_u * d_v)^-a   (i.e. RR_a = R_-a)
 Symmetric division          SDD  = sum (min/max + max/min)
 
 Integer alpha is computed exactly in rational arithmetic; non-integer
-alpha in double precision (compare with a relative tolerance of 1e-12).
+alpha in double precision, each route taking the correctly rounded sum of
+one rounded term per entry of its own tally (compare with a relative
+tolerance of 1e-12).
 The edge route checks its own integer alphas with
 :func:`check_alpha_digits` before it raises anything to a power.
 """
@@ -127,9 +129,10 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     :func:`check_alpha_digits` when its values would be too long to print:
     every product, and so ``den``, divides the square of the lcm of the
     degrees, which bounds ``p ** |alpha|`` and ``den ** |alpha|`` alike,
-    and each index sums one term per edge.  Non-integer alpha caches
-    ``p ** alpha`` per distinct product but still adds one float per edge
-    in edge order, as a plain per-edge sum would.
+    and each index sums one term per edge.  Non-integer alpha sums the
+    same tally in floats: a float index is the correctly rounded sum
+    (``math.fsum``) of one rounded term ``c * p ** alpha`` per distinct
+    product.
     """
     d = g.degrees()
     alphas = [normalize_alpha(a) for a in alphas]
@@ -146,7 +149,6 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
                        for (du, dv), c in degree_pairs.items()), den)
     r: dict[Alpha, Real] = {}
     rr: dict[Alpha, Real] = {}
-    products = None
     for alpha in alphas:
         if isinstance(alpha, int):
             k = abs(alpha)
@@ -154,12 +156,8 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
             down = Fraction(sum(c * (den // p) ** k for p, c in product_counts.items()), den ** k)
             r[alpha], rr[alpha] = (up, down) if alpha >= 0 else (down, up)
         else:
-            if products is None:
-                products = [d[u] * d[v] for u, v in g.edges]
-            power = {p: p ** alpha for p in product_counts}
-            r[alpha] = sum(map(power.__getitem__, products), 0.0)
-            power = {p: p ** -alpha for p in product_counts}
-            rr[alpha] = sum(map(power.__getitem__, products), 0.0)
+            r[alpha] = math.fsum(c * p ** alpha for p, c in product_counts.items())
+            rr[alpha] = math.fsum(c * p ** -alpha for p, c in product_counts.items())
     return IndexSet(m1=m1, m2=m2, mm2=mm2, sdd=sdd, r_alpha=r, rr_alpha=rr)
 
 
@@ -169,10 +167,11 @@ def indices_from_mpoly(p: MPoly, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     M1 applies the two derivative weights and sums; M2/MM2 apply the
     combined weight ``(1, 1)`` / ``(-1, -1)``; SDD the mixed weights
     ``(1, -1) + (-1, 1)``; integer alpha the weight ``(a, a)`` or its
-    negative.  Non-integer alpha falls back to direct float summation over
-    terms, keeping the polynomial core exact.  Every term must have both
-    exponents >= 1 (true of any graph's M-polynomial); otherwise the
-    negative weights raise ``ZeroExponentWeight``.
+    negative.  Non-integer alpha falls back to float summation over the
+    terms, keeping the polynomial core exact: the correctly rounded sum
+    (``math.fsum``) of one rounded term per ``(i, j)``.  Every term must
+    have both exponents >= 1 (true of any graph's M-polynomial); otherwise
+    the negative weights raise ``ZeroExponentWeight``.
     """
     m1 = (p.weight_by(1, 0) + p.weight_by(0, 1)).eval_at_one()
     m2 = p.weight_by(1, 1).eval_at_one()
@@ -185,6 +184,6 @@ def indices_from_mpoly(p: MPoly, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
             r[alpha] = p.weight_by(alpha, alpha).eval_at_one()
             rr[alpha] = p.weight_by(-alpha, -alpha).eval_at_one()
         else:
-            r[alpha] = sum((float(c) * (i * j) ** alpha for (i, j), c in p.terms.items()), 0.0)
-            rr[alpha] = sum((float(c) * (i * j) ** -alpha for (i, j), c in p.terms.items()), 0.0)
+            r[alpha] = math.fsum(float(c) * (i * j) ** alpha for (i, j), c in p.terms.items())
+            rr[alpha] = math.fsum(float(c) * (i * j) ** -alpha for (i, j), c in p.terms.items())
     return IndexSet(m1=m1, m2=m2, mm2=mm2, sdd=sdd, r_alpha=r, rr_alpha=rr)

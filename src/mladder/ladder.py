@@ -9,7 +9,7 @@ enumeration oracle for the closed forms checked elsewhere.
 
 from __future__ import annotations
 
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_EDGES, MAX_VERTICES, Graph
 
 MIN_M = 4
 MIN_N = 2
@@ -38,8 +38,8 @@ def build_ladder(m: int, n: int) -> Graph:
     ``m >= 4`` is required: at m = 3 the twist edge coincides with a
     horizontal edge in the middle row of odd-height ladders, which would
     create a parallel edge.  Every edge is emitted as (smaller, larger), and
-    ladders of more than ``MAX_VERTICES`` vertices are refused before any
-    edge is generated.
+    ladders of more than ``MAX_VERTICES`` vertices or ``MAX_EDGES`` edges
+    are refused before any edge is generated.
     """
     if not (isinstance(m, int) and isinstance(n, int)):
         raise InvalidParams(f"m and n must be integers, got ({m!r}, {n!r})")
@@ -49,6 +49,10 @@ def build_ladder(m: int, n: int) -> Graph:
     if size > MAX_VERTICES:
         raise InvalidParams(f"M_{{m,n}} has (m-1)*n = {size} vertices, more than the "
                             f"limit of {MAX_VERTICES} (m={m}, n={n})")
+    edge_count = (m - 1) * (2 * n - 1)
+    if edge_count > MAX_EDGES:
+        raise InvalidParams(f"M_{{m,n}} has (m-1)*(2n-1) = {edge_count} edges, more than the "
+                            f"limit of {MAX_EDGES} (m={m}, n={n})")
     vertical = [(v, v + 1) for v in range(size) if v % n != n - 1]
     horizontal = [(v, v + n) for v in range(size - n)]
     twist = [(n - 1 - r, size - n + r) for r in range(n)]

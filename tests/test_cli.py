@@ -3,11 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from mladder import build_ladder
 from mladder.cli import main
+
+from conftest import star_graph
 
 
 def test_gen_edgelist(capsys):
@@ -187,6 +190,22 @@ def test_vertex_count_past_the_limit_exit_2(tmp_path, capsys, header, argv, mess
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--m", "100001", "--n", "100"],
+     "mladder gen: error: M_{m,n} has (m-1)*(2n-1) = 19900000 edges, more than the limit of "
+     "10000000 (m=100001, n=100)"),
+    (["indices", "--line", "--from-file", "star.edgelist"],
+     "mladder indices: error: the line graph has 12497500 edges, more than the limit of 10000000"),
+], ids=["ladder", "line-of-star"])
+def test_edge_count_past_the_limit_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    # Within the vertex limit, but refused before the edges are allocated.
+    monkeypatch.chdir(tmp_path)
+    Path("star.edgelist").write_text(star_graph(5000).to_edgelist(), encoding="ascii")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[0] == message
 
 
 def test_invalid_params_exit_2(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mladder.graph
 from mladder import Graph, build_ladder
 from mladder.graph import MAX_VERTICES
 
@@ -62,6 +63,25 @@ def test_line_graph_of_star():
     line = star_graph(4).line_graph()
     assert line.vertex_count == 4
     assert line.edge_count == comb(4, 2)
+
+
+def test_line_graph_edge_limit_boundary(monkeypatch):
+    # At a lowered limit: the hub of star_graph(4) joins C(4, 2) = 6 pairs,
+    # and a path adds one pair per inner vertex.
+    monkeypatch.setattr(mladder.graph, "MAX_EDGES", 6)
+    assert star_graph(4).line_graph().edge_count == 6
+    assert path_graph(8).line_graph().edge_count == 6
+    with pytest.raises(ValueError, match="^the line graph has 10 edges, more than the limit of 6$"):
+        star_graph(5).line_graph()
+    with pytest.raises(ValueError, match="^the line graph has 7 edges, more than the limit of 6$"):
+        path_graph(9).line_graph()
+
+
+def test_line_graph_past_the_edge_limit():
+    # C(5000, 2) = 12,497,500 line edges at the hub: refused before any pair is made.
+    with pytest.raises(ValueError, match="^the line graph has 12497500 edges, more than the "
+                                         "limit of 10000000$"):
+        star_graph(5000).line_graph()
 
 
 def test_edgelist_round_trip():

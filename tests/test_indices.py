@@ -1,4 +1,8 @@
+import math
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,6 +16,7 @@ from mladder import (
     indices_from_edges,
     indices_from_mpoly,
     normalize_alpha,
+    values_equal,
 )
 from mladder.indices import alpha_list, check_alpha_digits
 
@@ -123,3 +128,41 @@ def test_m1_equals_degree_square_sum(m, n):
     g = build_ladder(m, n)
     s = indices_from_edges(g)
     assert s.m1 == sum(d * d for d in g.degrees())
+
+
+# Large enough that a sum of one float per edge drifts past REL_TOL = 1e-12:
+# 179,101 edges, and 58,806 in the line graph of M_{100,100}.
+LADDER_300 = build_ladder(300, 300)
+LADDER_100 = build_ladder(100, 100)
+LINE_100 = LADDER_100.line_graph()
+IRREGULAR = Graph.from_edgelist((Path(__file__).parent / "data" / "irregular.edgelist").read_text())
+
+
+@pytest.mark.parametrize("g,p", [
+    (LADDER_300, LADDER_300.m_polynomial()),
+    (LINE_100, LADDER_100.line_m_polynomial()),
+], ids=["ladder-300-300", "line-of-ladder-100-100"])
+def test_routes_agree_on_large_graphs_at_non_integer_alpha(g, p):
+    alphas = (0.3, 1.7, -0.5)
+    rows = indices_from_edges(g, alphas).paired(indices_from_mpoly(p, alphas))
+    assert [label for label, here, there in rows if not values_equal(here, there)] == []
+
+
+def exact_randic(g, alpha):
+    """``sum c * p ** alpha`` over the degree-product tally at 50 digits, alpha = +-0.5."""
+    d = g.degrees()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return sum(c * (Decimal(p).sqrt() if alpha > 0 else 1 / Decimal(p).sqrt())
+                   for p, c in Counter(d[u] * d[v] for u, v in g.edges).items())
+
+
+@pytest.mark.parametrize(
+    "g", [LADDER_300, LINE_100, IRREGULAR, IRREGULAR.line_graph(), star_graph(40)],
+    ids=["ladder-300-300", "line-of-ladder-100-100", "irregular", "line-of-irregular", "star-40"])
+def test_float_index_within_2_ulp_of_exact_sum(g):
+    s = indices_from_edges(g, (0.5, -0.5))
+    for got, alpha in ((s.r_alpha[0.5], 0.5), (s.rr_alpha[0.5], -0.5),
+                       (s.r_alpha[-0.5], -0.5), (s.rr_alpha[-0.5], 0.5)):
+        exact = exact_randic(g, alpha)
+        assert abs(Decimal(got) - exact) <= 2 * Decimal(math.ulp(got)), (alpha, got, exact)

@@ -38,6 +38,22 @@ def test_vertex_limit_boundary(monkeypatch):
         build_ladder(5, 4)
 
 
+def test_edge_limit_boundary(monkeypatch):
+    # At a lowered limit: M_{5,4} has exactly 4*7 = 28 edges, M_{5,5} has 36.
+    monkeypatch.setattr(mladder.ladder, "MAX_EDGES", 28)
+    assert build_ladder(5, 4).edge_count == 28
+    with pytest.raises(InvalidParams, match="36 edges, more than the limit of 28"):
+        build_ladder(5, 5)
+
+
+def test_refuses_ladder_past_the_edge_limit():
+    # 10**7 vertices, at the vertex limit, but 19,900,000 edges: refused before
+    # any edge is generated.
+    with pytest.raises(InvalidParams, match=r"\(m-1\)\*\(2n-1\) = 19900000 edges, more than "
+                                            r"the limit of 10000000 \(m=100001, n=100\)"):
+        build_ladder(100001, 100)
+
+
 def test_rejects_small_parameters():
     with pytest.raises(InvalidParams):
         build_ladder(3, 5)
