@@ -16,6 +16,7 @@ findings and leave the status at 0), 1 on I/O failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -171,32 +172,43 @@ COMMANDS = {"gen": _cmd_graph, "line": _cmd_graph, "mpoly": _cmd_mpoly,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A run makes next to no reference cycles: its graphs, tallies and
+    # reports are tuples, lists, dicts and Fractions that refer to nothing
+    # that refers back.  Automatic cycle collection would scan them again
+    # and again and find nothing, so it is off for the run, and the caller's
+    # setting is restored on every exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        output, status = COMMANDS[args.command](args, parser)
-        # --out is opened only now, so a failed command leaves it untouched.
-        with open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as fh:
-            # Under PYTHONUNBUFFERED=1 stdout is a raw stream, and a raw write
-            # may take only part of its bytes; write until all are taken.
-            view = memoryview(output.encode("ascii"))
-            while view:
-                view = view[fh.write(view):]
-            fh.flush()
-    except ValueError as exc:
-        print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)
-        if isinstance(exc, InvalidParams):
-            print(f"usage hint: {PROG} {args.command} --help", file=sys.stderr)
-        return 2
-    except OverflowError:
-        print(f"{PROG} {args.command}: error: a Randic term overflows float arithmetic; "
-              "use a smaller |alpha|", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        path = exc.filename or args.out or "<stdout>"
-        print(f"{PROG} {args.command}: error: {path}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    return status
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            output, status = COMMANDS[args.command](args, parser)
+            # --out is opened only now, so a failed command leaves it untouched.
+            with open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as fh:
+                # Under PYTHONUNBUFFERED=1 stdout is a raw stream, and a raw write
+                # may take only part of its bytes; write until all are taken.
+                view = memoryview(output.encode("ascii"))
+                while view:
+                    view = view[fh.write(view):]
+                fh.flush()
+        except ValueError as exc:
+            print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)
+            if isinstance(exc, InvalidParams):
+                print(f"usage hint: {PROG} {args.command} --help", file=sys.stderr)
+            return 2
+        except OverflowError:
+            print(f"{PROG} {args.command}: error: a Randic term overflows float arithmetic; "
+                  "use a smaller |alpha|", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            path = exc.filename or args.out or "<stdout>"
+            print(f"{PROG} {args.command}: error: {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+        return status
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

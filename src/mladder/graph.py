@@ -9,14 +9,17 @@ may have at most :data:`MAX_EDGES` edges.  The line
 graph's M-polynomial is also tallied without building it, once per
 distinct neighbour-degree profile of a vertex; only vertices with edges
 have one, so memory stays O(E).  Edge-list text in the canonical form
-that :meth:`Graph.to_edgelist` writes is parsed in bulk; any other text
-goes through a per-line parser that accepts and rejects exactly as
+that :meth:`Graph.to_edgelist` writes is parsed in bulk, its ids read by
+the standard library's JSON number scanner; any other text, and canonical
+text with an id JSON refuses (a leading zero, or past ``int()``'s digit
+limit), goes through a per-line parser that accepts and rejects exactly as
 before.  Graphs are immutable, so everything here is safe to share
 between workers.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter, defaultdict
 from itertools import chain, combinations, groupby, islice, repeat, starmap
@@ -41,6 +44,8 @@ allocated, from a count that is cheap to compute."""
 # The text to_edgelist writes: ASCII digits only ([0-9], not \d, which also
 # matches other scripts' digits), single spaces, LF after every line.
 _CANONICAL = re.compile(r"p [0-9]+ [0-9]+\n(?:[0-9]+ [0-9]+\n)*")
+# Canonical text with commas for its blanks is a JSON array body.
+_TO_COMMAS = str.maketrans(" \n", ",,")
 
 
 class Graph:
@@ -177,14 +182,17 @@ class Graph:
 
         Text in exactly that canonical form is parsed in bulk.  Anything
         else -- CR or blank lines, other blanks, signs, underscores, a
-        missing final newline, a wrong edge count, an id too long for
-        ``int()`` -- goes through the per-line parser, which accepts what
-        ``int()`` accepts on each field and names the offending line.
+        missing final newline, a wrong edge count, an id with a leading
+        zero or too long for ``int()`` -- goes through the per-line parser,
+        which accepts what ``int()`` accepts on each field and names the
+        offending line.
         """
         if _CANONICAL.fullmatch(text):
             try:
-                numbers = list(map(int, text[2:].split()))
-            except ValueError:  # an id past int()'s digit limit: the line parser names it
+                numbers = json.loads("[" + text[2:-1].translate(_TO_COMMAS) + "]")
+            except ValueError:
+                # JSON refuses a leading zero, which the line parser accepts,
+                # and an id past int()'s digit limit, whose line it names.
                 pass
             else:
                 if len(numbers) == 2 * numbers[1] + 2:  # else the line parser reports the count

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import re
@@ -6,11 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from mladder import build_ladder
 from mladder.cli import main
 
 from conftest import star_graph
+from test_equivalence import edgelist_texts
 
 
 def test_gen_edgelist(capsys):
@@ -376,3 +381,61 @@ def test_largest_printable_integral_alpha_still_exact(capsys):
     # 1990 * log10(144) is about 4290 digits: just under the default limit.
     assert main(["indices", "--m", "5", "--n", "3", "--alpha", "1990", "--format", "json"]) == 0
     assert all(json.loads(capsys.readouterr().out)["agreement"].values())
+
+
+def test_main_runs_without_automatic_collection():
+    # A run's objects form no cycles, so the collector would only scan them.
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        assert main(["mpoly", "--m", "60", "--n", "60", "--line"]) == 0
+    finally:
+        gc.callbacks.remove(record)
+    assert starts == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv,status", [
+    (["gen", "--m", "5", "--n", "3"], 0),
+    (["gen", "--m", "5", "--n", "3", "--out", "missing/x"], 1),
+    (["gen", "--m", "3", "--n", "3"], 2),
+    (["verify", "--subject", "thm31", "--m-range", "4:4", "--n-range", "2:2"], 3),
+    (["gen", "--m", "5"], SystemExit),
+    (["gen", "--no-such-flag"], SystemExit),
+], ids=["status-0", "status-1", "status-2", "status-3", "usage-error", "argparse-error"])
+def test_main_restores_the_collector_state(tmp_path, monkeypatch, capsys, enabled, argv, status):
+    monkeypatch.chdir(tmp_path)
+    restore = gc.enable if gc.isenabled() else gc.disable
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if status is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == status
+        assert gc.isenabled() is enabled
+    finally:
+        restore()
+
+
+@given(edgelist_texts())
+def test_edgelist_files_give_a_result_or_one_error_line(tmp_path_factory, text):
+    # Any edge-list text: exit 0 with JSON, or exit 2 with one error line; never a traceback.
+    path = tmp_path_factory.getbasetemp() / "property.edgelist"
+    path.write_text(text, encoding="ascii")
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["mpoly", "--from-file", str(path), "--line", "--format", "json"])
+    assert status in (0, 2)
+    if status == 0:
+        assert err.getvalue() == ""
+        assert isinstance(json.loads(out.buffer.getvalue()), list)
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mladder mpoly: error: "), lines
+        assert out.buffer.getvalue() == b""
