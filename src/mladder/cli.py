@@ -10,15 +10,25 @@ Subcommands:
 All output is deterministic: identical invocations produce byte-identical
 bytes.  Exit status: 0 success, 2 invalid parameters, 3 when a verify run
 finds mismatches in a theorem subject (proposition mismatches are expected
-findings and leave the status at 0), 1 on I/O failure.
+findings and leave the status at 0), 1 on I/O failure.  An ``--out`` path
+that names a directory, or whose parent is missing or not a directory, is
+reported before the command runs, so it exits 1 even when the parameters
+are invalid too.
+
+:func:`main` runs one command and returns its status, for callers in
+process; :func:`run`, the console script and ``python -m mladder.cli``, also
+ends the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import math
+import os
+import stat
 import sys
 from contextlib import nullcontext
 from typing import Optional, Sequence
@@ -167,6 +177,26 @@ def _cmd_verify(args, parser) -> tuple[str, int]:
     return text, 3 if report.theorem_mismatches() else 0
 
 
+def _check_out(path: str) -> None:
+    """Raise the error that opening ``path`` for writing would raise when it
+    names a directory or its parent cannot be reached as a directory.
+
+    Only ``stat`` is called: nothing is opened, created or truncated, so a
+    FIFO at ``path`` is opened once, by the write after the command.
+    """
+    if path.endswith(os.sep) or os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            mode = os.stat(os.path.dirname(path) or os.curdir).st_mode
+        except OSError as exc:  # what resolving the parent meets, opening path meets too
+            code = exc.errno
+        else:
+            code = None if stat.S_ISDIR(mode) else errno.ENOTDIR
+    if code is not None:
+        raise OSError(code, os.strerror(code), path)
+
+
 COMMANDS = {"gen": _cmd_graph, "line": _cmd_graph, "mpoly": _cmd_mpoly,
             "indices": _cmd_indices, "verify": _cmd_verify}
 
@@ -183,6 +213,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         try:
+            if args.out:
+                _check_out(args.out)
             output, status = COMMANDS[args.command](args, parser)
             # --out is opened only now, so a failed command leaves it untouched.
             with open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as fh:
@@ -211,5 +243,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """Run :func:`main` on ``sys.argv`` and end the process with its status.
+
+    The heap is frozen first, so the collections the interpreter makes as it
+    shuts down skip every object the run made: its output is written and
+    flushed by then, and none of its objects has a finalizer that matters at
+    exit.  ``main`` itself never freezes, so callers in process keep a heap
+    the collector can reach.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -9,18 +9,18 @@ may have at most :data:`MAX_EDGES` edges.  The line
 graph's M-polynomial is also tallied without building it, once per
 distinct neighbour-degree profile of a vertex; only vertices with edges
 have one, so memory stays O(E).  Edge-list text in the canonical form
-that :meth:`Graph.to_edgelist` writes is parsed in bulk, its ids read by
-the standard library's JSON number scanner; any other text, and canonical
-text with an id JSON refuses (a leading zero, or past ``int()``'s digit
-limit), goes through a per-line parser that accepts and rejects exactly as
-before.  Graphs are immutable, so everything here is safe to share
-between workers.
+that :meth:`Graph.to_edgelist` writes is recognised by a few C-level
+string scans, which keep no per-line state, and parsed in bulk, its ids
+read by the standard library's JSON number scanner; any other text, and
+canonical text with an id JSON refuses (a leading zero, or past
+``int()``'s digit limit), goes through a per-line parser that accepts and
+rejects exactly as before.  Graphs are immutable, so everything here is
+safe to share between workers.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter, defaultdict
 from itertools import chain, combinations, groupby, islice, repeat, starmap
 from math import comb
@@ -41,11 +41,27 @@ MAX_EDGES = 10**7
 graph.  Like :data:`MAX_VERTICES` it is checked before the edges are
 allocated, from a count that is cheap to compute."""
 
-# The text to_edgelist writes: ASCII digits only ([0-9], not \d, which also
-# matches other scripts' digits), single spaces, LF after every line.
-_CANONICAL = re.compile(r"p [0-9]+ [0-9]+\n(?:[0-9]+ [0-9]+\n)*")
+# Deletes the ASCII digits only: other scripts' digits, like every other
+# character, survive it.
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 # Canonical text with commas for its blanks is a JSON array body.
 _TO_COMMAS = str.maketrans(" \n", ",,")
+
+
+def _is_canonical(text: str) -> bool:
+    """Whether ``text`` is in the form :meth:`Graph.to_edgelist` writes.
+
+    That is ``p [0-9]+ [0-9]+\\n(?:[0-9]+ [0-9]+\\n)*`` in full: ASCII
+    digits, single spaces, LF after every line.  With its digits deleted,
+    such text is ``"p "`` and then one ``" \\n"`` per line; the other tests
+    rule out what that leaves open, an empty id (two blanks after the
+    ``p``, or a blank next to a line end) and digits after the last line
+    end.  Every test is a scan in C, so the check keeps no state per line,
+    as a backtracking regex would.
+    """
+    return (text.startswith("p ") and not text.startswith("p  ") and text.endswith("\n")
+            and " \n" not in text and "\n " not in text
+            and text.translate(_NO_DIGITS) == "p " + " \n" * text.count("\n"))
 
 
 class Graph:
@@ -187,7 +203,7 @@ class Graph:
         which accepts what ``int()`` accepts on each field and names the
         offending line.
         """
-        if _CANONICAL.fullmatch(text):
+        if _is_canonical(text):
             try:
                 numbers = json.loads("[" + text[2:-1].translate(_TO_COMMAS) + "]")
             except ValueError:

@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mladder import build_ladder
+from mladder import build_ladder, cli
 from mladder.cli import main
 
 from conftest import star_graph
@@ -142,14 +143,57 @@ def test_out_writes_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("target,reason", [
     ("", "Is a directory"),
+    ("dir", "Is a directory"),
     ("missing/x", "No such file or directory"),
+    ("missing/deep/x", "No such file or directory"),
+    ("missing/", "Is a directory"),
+    ("file/x", "Not a directory"),
+    ("file/deep/x", "Not a directory"),
+    ("file/", "Is a directory"),
 ])
 def test_out_failure_exit_1(tmp_path, capsys, target, reason):
-    out = tmp_path / target
-    assert main(["gen", "--m", "5", "--n", "3", "--out", str(out)]) == 1
+    # The check before the command reports the error open() gives the path.
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("keep", encoding="ascii")
+    out = os.path.join(tmp_path, target)
+    with pytest.raises(OSError) as opened:
+        open(out, "wb")
+    assert opened.value.strerror == reason
+    assert main(["gen", "--m", "5", "--n", "3", "--out", out]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"mladder gen: error: {out}: {reason}\n"
+    assert (tmp_path / "file").read_text(encoding="ascii") == "keep"
+
+
+@pytest.mark.parametrize("argv", [["gen", "--m", "3", "--n", "3"], ["gen", "--m", "5"]],
+                         ids=["invalid-params", "missing-params"])
+def test_bad_out_takes_precedence_over_bad_params(tmp_path, capsys, argv):
+    # --out is checked before the command checks its parameters: exit 1, not 2.
+    out = tmp_path / "missing" / "x"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"mladder gen: error: {out}: No such file or directory\n"
+
+
+def test_unwritable_out_fails_before_the_command(tmp_path, monkeypatch, capsys):
+    def build_ladder(m, n):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr("mladder.verify.build_ladder", build_ladder)
+    out = tmp_path / "missing" / "x"
+    assert main(["verify", "--m-range", "4:30", "--n-range", "2:30", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"mladder verify: error: {out}: No such file or directory\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_check_opens_nothing(tmp_path):
+    # Opening a FIFO that has no reader for writing blocks, so a check that
+    # opened --out would hang this failing command until the timeout.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    proc = subprocess.run([sys.executable, "-m", "mladder.cli", "gen", "--m", "3", "--n", "3",
+                           "--out", str(fifo)], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and "error:" in proc.stderr
 
 
 def test_failed_command_leaves_out_untouched(tmp_path):
@@ -409,9 +453,11 @@ def test_main_runs_without_automatic_collection():
     (["gen", "--no-such-flag"], SystemExit),
 ], ids=["status-0", "status-1", "status-2", "status-3", "usage-error", "argparse-error"])
 def test_main_restores_the_collector_state(tmp_path, monkeypatch, capsys, enabled, argv, status):
+    # main neither leaves the collector switched nor freezes the heap.
     monkeypatch.chdir(tmp_path)
     restore = gc.enable if gc.isenabled() else gc.disable
     (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
     try:
         if status is SystemExit:
             with pytest.raises(SystemExit):
@@ -419,8 +465,28 @@ def test_main_restores_the_collector_state(tmp_path, monkeypatch, capsys, enable
         else:
             assert main(argv) == status
         assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
     finally:
         restore()
+
+
+def test_run_freezes_the_heap_after_main_and_exits_with_its_status(monkeypatch):
+    seen = []
+
+    def fake_main():
+        seen.append(gc.get_freeze_count())
+        return 3
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    frozen = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert seen == [frozen]
+    assert exc.value.code == 3
 
 
 @given(edgelist_texts())
@@ -439,3 +505,59 @@ def test_edgelist_files_give_a_result_or_one_error_line(tmp_path_factory, text):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("mladder mpoly: error: "), lines
         assert out.buffer.getvalue() == b""
+
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "irregular.edgelist"
+FORMATS = {"gen": ["edgelist", "json"], "line": ["edgelist", "json"], "mpoly": ["text", "json", "latex"],
+           "indices": ["text", "json"], "verify": ["text", "json"]}
+
+
+@st.composite
+def argvs(draw, tmp):
+    """Argv of a real subcommand and its real flags, every size small: a
+    ladder of m, n <= 12, a grid inside 4:8 x 2:8, the fixture or a missing
+    file, and --out under ``tmp``."""
+    command = draw(st.sampled_from(sorted(FORMATS)))
+    argv = [command]
+
+    def maybe(flag, values, chance=st.booleans()):
+        if draw(chance):
+            argv.extend([flag, draw(values)])
+
+    often, seldom = st.integers(0, 5).map(bool), st.integers(0, 3).map(lambda k: k == 0)
+
+    if command == "verify":
+        maybe("--subject", st.sampled_from(["thm31", "thm32", "props", "all"]))
+        for flag, lo in (("--m-range", 4), ("--n-range", 2)):
+            argv += [flag, f"{draw(st.integers(lo, 8))}:{draw(st.integers(lo, 8))}"]
+    else:
+        maybe("--m", st.integers(-1, 12).map(str), often)
+        maybe("--n", st.integers(-1, 12).map(str), often)
+    if command in ("mpoly", "indices"):
+        if draw(st.booleans()):
+            argv.append("--line")
+        maybe("--from-file", st.sampled_from([str(FIXTURE), str(tmp / "missing.edgelist")]), seldom)
+    if command in ("indices", "verify"):
+        for alpha in draw(st.lists(st.sampled_from(["nan", "1e4", "-0.5", "0", "2", "0.5", "x"]),
+                                   max_size=2)):
+            argv += draw(st.sampled_from([[f"--alpha={alpha}"], ["--alpha", alpha]]))
+    maybe("--format", st.sampled_from(FORMATS[command]))
+    maybe("--out", st.sampled_from([str(tmp / "out.txt"), str(tmp / "missing" / "out.txt"), str(tmp)]),
+          seldom)
+    return argv
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_any_argv_gives_a_status_or_a_usage_error(tmp_path_factory, data):
+    # A status 0-3 or argparse's exit 2, never another exception, and at most one error line.
+    argv = data.draw(argvs(tmp_path_factory.getbasetemp()))
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+            assert status == 2
+    assert status in (0, 1, 2, 3)
+    assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, err.getvalue()

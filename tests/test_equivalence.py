@@ -14,7 +14,9 @@ M-polynomial from the degree-transfer law once per neighbour-degree
 profile; it must equal both the per-vertex tally it replaced and the
 M-polynomial of the materialized line graph.  ``Graph.from_edgelist`` parses
 canonical text in bulk; it must give the same graph or the same error
-message as the per-line parser alone.  ``VerificationReport.to_json``
+message as the per-line parser alone, and its string-scan test for
+canonical text must accept exactly what the regular expression it replaced
+accepts.  ``VerificationReport.to_json``
 lays its records out from a template; it must give the very bytes of
 ``json.dumps(records, indent=2)``, which it replaced.
 """
@@ -22,15 +24,17 @@ lays its records out from a template; it must give the very bytes of
 import json
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mladder import Graph, MPoly, indices_from_edges, normalize_alpha, verify_all
+from mladder.graph import _is_canonical
 from mladder.verify import CaseResult, VerificationReport, json_value
 
 from conftest import path_graph, star_graph
@@ -344,7 +348,7 @@ HUGE_ID = "1" * 5000  # past int()'s default limit of 4300 digits
 
 
 @st.composite
-def edgelist_texts(draw):
+def messy_edgelist_texts(draw):
     """Edge-list text, canonical or not: ids in int()'s other spellings, other
     blanks and line ends, blank lines, wrong counts, no final newline."""
     number = st.integers(0, 9).map(str) | st.sampled_from(["+1", "1_0", "007", "-1", "x", HUGE_ID])
@@ -357,12 +361,31 @@ def edgelist_texts(draw):
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
+@st.composite
+def zero_padded_edgelist_texts(draw):
+    """Canonical text of a graph with one id, or the header's vertex count,
+    written with a leading zero: canonical in form, but refused by the JSON
+    read, so only the fallback to the per-line parser reads it."""
+    lines = draw(simple_graphs()).to_edgelist().splitlines()
+    row = draw(st.integers(0, len(lines) - 1))
+    fields = lines[row].split(" ")
+    column = draw(st.integers(1 if row == 0 else 0, len(fields) - 1))
+    fields[column] = "0" + fields[column]
+    lines[row] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def edgelist_texts():
+    """Edge-list text of either kind above, each about half the time."""
+    return messy_edgelist_texts() | zero_padded_edgelist_texts()
+
+
 @given(simple_graphs().map(Graph.to_edgelist) | edgelist_texts())
 def test_edgelist_parses_like_per_line(text):
     assert_parses_like_per_line(text)
 
 
-@pytest.mark.parametrize("text", [
+PARSER_CASES = [
     "p 3 2\r\n0 1\r\n1 2\r\n",
     "p 3 2\n\n0 1\n\n1 2\n",
     "p 3 2\n0\t1\n1 2\n",
@@ -375,10 +398,63 @@ def test_edgelist_parses_like_per_line(text):
     f"p 3 {HUGE_ID}\n0 1\n",
     "p 3 2\n0 1\n",
     "p 3 1\n0 1\n1 2\n",
-], ids=["crlf", "blank-lines", "tab", "plus-sign", "underscore", "leading-zeros", "negative-id",
-        "no-final-newline", "5000-digit-id", "5000-digit-count", "too-few-edges", "too-many-edges"])
+]
+PARSER_CASE_IDS = ["crlf", "blank-lines", "tab", "plus-sign", "underscore", "leading-zeros",
+                   "negative-id", "no-final-newline", "5000-digit-id", "5000-digit-count",
+                   "too-few-edges", "too-many-edges"]
+
+
+@pytest.mark.parametrize("text", PARSER_CASES, ids=PARSER_CASE_IDS)
 def test_edgelist_cases_parse_like_per_line(text):
     assert_parses_like_per_line(text)
+
+
+# The canonical form as the regular expression that tested for it before
+# the string scans: ASCII digits only ([0-9], not \d, which also matches
+# other scripts' digits), single spaces, LF after every line.
+CANONICAL = re.compile(r"p [0-9]+ [0-9]+\n(?:[0-9]+ [0-9]+\n)*")
+
+
+@st.composite
+def near_canonical_texts(draw):
+    """Canonical text with a character or two inserted, deleted or replaced:
+    the near misses that tell a test for the form from a looser one."""
+    text = draw(simple_graphs()).to_edgelist()
+    for _ in range(draw(st.integers(1, 2))):
+        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 1))
+        put = draw(st.sampled_from(["0", "7", " ", "\n", "p", "\r", "\t", "+", "\u0663"]) | st.just(""))
+        text = text[:at] + put + text[at + cut:]
+    return text
+
+
+@settings(max_examples=300)
+@given(simple_graphs().map(Graph.to_edgelist) | edgelist_texts() | near_canonical_texts())
+def test_canonical_check_matches_the_regex(text):
+    assert _is_canonical(text) is (CANONICAL.fullmatch(text) is not None)
+
+
+# One near miss for each of the check's tests: an empty id after "p", ids
+# glued to the "p", digits after the last line end, an empty id at a line's
+# start or end, two blanks, CR, another script's digit.
+NEAR_MISSES = ["p  2\n", "p5 1 2\n", "p 1 2\n7", "p 1 2\n 0\n", "p 1 2\n0 \n", "p 1 2\n0  1\n",
+               "p 1 2\r\n", "p 1 \u0663\n"]
+
+
+@pytest.mark.parametrize("text", PARSER_CASES + NEAR_MISSES)
+def test_canonical_check_cases_match_the_regex(text):
+    assert _is_canonical(text) is (CANONICAL.fullmatch(text) is not None)
+
+
+def test_canonical_check_memory_does_not_grow_per_line():
+    # The regex saves a backtracking frame per line: about 17 times the text.
+    text = Graph(100_001, [(k, k + 1) for k in range(100_000)]).to_edgelist()
+    tracemalloc.start()
+    try:
+        assert _is_canonical(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
 
 
 def test_bool_vertex_ids_are_rejected():
