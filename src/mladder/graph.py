@@ -16,6 +16,14 @@ canonical text with an id JSON refuses (a leading zero, or past
 ``int()``'s digit limit), goes through a per-line parser that accepts and
 rejects exactly as before.  Graphs are immutable, so everything here is
 safe to share between workers.
+
+Only ``Graph(vertex_count, edges)`` checks its edges: it is the constructor
+for edges from outside the program, a library caller's or an edge list's.
+The package's own generators, :func:`mladder.ladder.build_ladder` and
+:meth:`Graph.line_graph`, make sorted ``(u, v)``, ``u < v`` edges and their
+degrees by construction and store them through :meth:`Graph._assemble`,
+which checks only the vertex limit; tests compare both with what
+``Graph(...)`` makes of the same edges.
 """
 
 from __future__ import annotations
@@ -48,6 +56,11 @@ _NO_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans(" \n", ",,")
 
 
+def _check_vertex_limit(vertex_count: int) -> None:
+    if vertex_count > MAX_VERTICES:
+        raise ValueError(f"vertex_count {vertex_count} exceeds the limit of {MAX_VERTICES}")
+
+
 def _is_canonical(text: str) -> bool:
     """Whether ``text`` is in the form :meth:`Graph.to_edgelist` writes.
 
@@ -72,14 +85,13 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
         if type(vertex_count) is not int or vertex_count < 0:
             raise ValueError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
-        if vertex_count > MAX_VERTICES:
-            raise ValueError(f"vertex_count {vertex_count} exceeds the limit of {MAX_VERTICES}")
+        _check_vertex_limit(vertex_count)
         # Checked in bulk rather than edge by edge, ids first so that the
         # sort only ever compares ints (``type(x) is int`` also rejects
-        # bools).  Edges already given as (smaller, larger), as line_graph,
-        # build_ladder and canonical edge lists give them, hold no loop and
-        # need no flipping.  On the sorted list a loop is an edge that is not
-        # strictly ordered, and a duplicate is equal to its sorted neighbour.
+        # bools).  Edges already given as (smaller, larger), as canonical
+        # edge lists give them, hold no loop and need no flipping.  On the
+        # sorted list a loop is an edge that is not strictly ordered, and a
+        # duplicate is equal to its sorted neighbour.
         edges = list(edges)
         if not all(type(u) is int and type(v) is int for u, v in edges):
             u, v = next((u, v) for u, v in edges if type(u) is not int or type(v) is not int)
@@ -103,6 +115,22 @@ class Graph:
         self._n = vertex_count
         self._edges: tuple[Edge, ...] = tuple(pairs)
         self._degrees = tuple(map(counts.get, range(vertex_count), repeat(0)))
+
+    @classmethod
+    def _assemble(cls, vertex_count: int, edges: tuple[Edge, ...],
+                  degrees: tuple[int, ...]) -> "Graph":
+        """A graph from canonical data, stored as given.
+
+        For the package's generators only: ``edges`` is a sorted tuple of
+        distinct ``(u, v)`` pairs with ``0 <= u < v < vertex_count``, and
+        ``degrees`` holds every vertex's degree.  Nothing of that is checked
+        here, only the vertex limit; tests check each generator against
+        ``Graph(vertex_count, edges)``.
+        """
+        _check_vertex_limit(vertex_count)
+        graph = object.__new__(cls)
+        graph._n, graph._edges, graph._degrees = vertex_count, edges, degrees
+        return graph
 
     @property
     def vertex_count(self) -> int:
@@ -170,7 +198,8 @@ class Graph:
         with edges get an incidence list: O(E) memory.  A vertex of degree
         ``d`` joins ``C(d, 2)`` pairs, and a line graph of more than
         :data:`MAX_EDGES` edges is refused with a ``ValueError`` before any
-        pair is made.
+        pair is made.  The pairs are sorted, and the vertex of edge ``(u, v)``
+        has degree ``d_u + d_v - 2``.
         """
         size = sum(map(comb, filter(None, self._degrees), repeat(2)))
         if size > MAX_EDGES:
@@ -179,8 +208,12 @@ class Graph:
         for index, (u, v) in enumerate(self._edges):
             incident[u].append(index)
             incident[v].append(index)
-        line_edges = [pair for around in incident.values() for pair in combinations(around, 2)]
-        return Graph(len(self._edges), line_edges)
+        # Each index list ascends, so every pair is (smaller, larger).
+        pairs = [pair for around in incident.values() for pair in combinations(around, 2)]
+        pairs.sort()
+        d = self._degrees
+        degrees = tuple(d[u] + d[v] - 2 for u, v in self._edges)
+        return Graph._assemble(len(self._edges), tuple(pairs), degrees)
 
     def to_edgelist(self) -> str:
         """Serialize to the edge-list text format.

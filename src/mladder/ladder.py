@@ -37,9 +37,12 @@ def build_ladder(m: int, n: int) -> Graph:
 
     ``m >= 4`` is required: at m = 3 the twist edge coincides with a
     horizontal edge in the middle row of odd-height ladders, which would
-    create a parallel edge.  Every edge is emitted as (smaller, larger), and
-    ladders of more than ``MAX_VERTICES`` vertices or ``MAX_EDGES`` edges
-    are refused before any edge is generated.
+    create a parallel edge.  Every edge is emitted as (smaller, larger), the
+    three families are sorted together, and each column's degrees are
+    ``(3, 4, ..., 4, 3)`` (all 3 at ``n = 2``), so the graph is assembled
+    without the checks ``Graph(...)`` makes of outside edges.  Ladders of
+    more than ``MAX_VERTICES`` vertices or ``MAX_EDGES`` edges are refused
+    before any edge is generated.
     """
     if not (isinstance(m, int) and isinstance(n, int)):
         raise InvalidParams(f"m and n must be integers, got ({m!r}, {n!r})")
@@ -53,7 +56,9 @@ def build_ladder(m: int, n: int) -> Graph:
     if edge_count > MAX_EDGES:
         raise InvalidParams(f"M_{{m,n}} has (m-1)*(2n-1) = {edge_count} edges, more than the "
                             f"limit of {MAX_EDGES} (m={m}, n={n})")
-    vertical = [(v, v + 1) for v in range(size) if v % n != n - 1]
-    horizontal = [(v, v + n) for v in range(size - n)]
-    twist = [(n - 1 - r, size - n + r) for r in range(n)]
-    return Graph(size, vertical + horizontal + twist)
+    edges = [(v, v + 1) for v in range(size) if v % n != n - 1]  # vertical
+    edges += [(v, v + n) for v in range(size - n)]  # horizontal
+    edges += [(n - 1 - r, size - n + r) for r in range(n)]  # twist
+    edges.sort()
+    degrees = ((3,) + (4,) * (n - 2) + (3,)) * (m - 1)
+    return Graph._assemble(size, tuple(edges), degrees)

@@ -89,17 +89,19 @@ class VerificationReport(NamedTuple):
         time of a large report.  Strings still go through ``json.dumps``,
         so their escaping is the encoder's own; each distinct label is
         encoded once per call, as a report repeats a few dozen labels in
-        thousands of records.
+        thousands of records.  The brackets ride on the first and the last
+        record, so the text is joined once, with no copy to add them.
         """
         if not self.cases:
             return "[]"
         label = functools.lru_cache(maxsize=None)(json.dumps)
-        return "[\n" + ",\n".join(
-            _JSON_RECORD.format(c.m, c.n, label(c.subject), label(c.quantity),
-                                _json_text(c.computed), _json_text(c.closed_form),
-                                label(c.verdict))
-            for c in self.cases
-        ) + "\n]"
+        records = [_JSON_RECORD.format(c.m, c.n, label(c.subject), label(c.quantity),
+                                       _json_text(c.computed), _json_text(c.closed_form),
+                                       label(c.verdict))
+                   for c in self.cases]
+        records[0] = "[\n" + records[0]
+        records[-1] += "\n]"
+        return ",\n".join(records)
 
     def to_text(self) -> str:
         """Render an aligned plain-text table followed by a summary block."""

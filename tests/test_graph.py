@@ -12,6 +12,8 @@ from mladder import Graph, build_ladder
 from mladder.graph import MAX_VERTICES
 
 from conftest import cycle_graph, path_graph, star_graph
+from test_equivalence import simple_graphs
+from test_indices import IRREGULAR
 
 
 def test_path_basics():
@@ -82,6 +84,19 @@ def test_line_graph_past_the_edge_limit():
     with pytest.raises(ValueError, match="^the line graph has 12497500 edges, more than the "
                                          "limit of 10000000$"):
         star_graph(5000).line_graph()
+
+
+def test_line_graph_vertex_limit_boundary(monkeypatch):
+    # At a lowered limit: the line graph of star_graph(k) has k vertices.  The
+    # stars are built first, as the limit applies to them too.
+    star4, star5 = star_graph(4), star_graph(5)
+    monkeypatch.setattr(mladder.graph, "MAX_VERTICES", 4)
+    assert star4.line_graph().vertex_count == 4
+    with pytest.raises(ValueError, match="^vertex_count 5 exceeds the limit of 4$") as built:
+        star5.line_graph()
+    with pytest.raises(ValueError) as given_edges:
+        Graph(5)
+    assert str(built.value) == str(given_edges.value)
 
 
 def test_edgelist_round_trip():
@@ -162,6 +177,31 @@ def test_ladder_line_graphs_match_their_definition():
         for n in range(2, 9):
             g = build_ladder(m, n)
             assert g.line_graph() == line_graph_by_definition(g), (m, n)
+
+
+def assert_matches_validating_constructor(g):
+    """``g``, assembled without checks, is what ``Graph(...)`` makes of its edges."""
+    reference = Graph(g.vertex_count, g.edges)
+    assert reference == g
+    assert reference.degrees() == g.degrees()
+
+
+def test_ladders_and_their_line_graphs_match_the_validating_constructor():
+    for m in range(4, 13):
+        for n in range(2, 13):
+            g = build_ladder(m, n)
+            assert_matches_validating_constructor(g)
+            assert_matches_validating_constructor(g.line_graph())
+
+
+@pytest.mark.parametrize("g", [IRREGULAR, Graph(0), Graph(5)], ids=["irregular", "empty", "edgeless"])
+def test_line_graph_matches_the_validating_constructor(g):
+    assert_matches_validating_constructor(g.line_graph())
+
+
+@given(simple_graphs())
+def test_any_line_graph_matches_the_validating_constructor(g):
+    assert_matches_validating_constructor(g.line_graph())
 
 
 @given(graphs())
