@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .indices import Alpha, IndexSet, Real, check_alpha_digits, normalize_alpha
+from .indices import Alpha, IndexSet, Real, check_alpha_digits
 from .ladder import MIN_M
 from .mpoly import MPoly
 
@@ -63,8 +63,7 @@ def _power(base: Fraction, alpha: Alpha) -> Real:
 def _index_set(m1: Fraction, m2: Fraction, mm2: Fraction, sdd: Fraction,
                alphas: Iterable[Alpha]) -> IndexSet:
     # The paper's R_alpha and RR_alpha are M2 and MM2 raised to alpha.
-    alphas = [normalize_alpha(a) for a in alphas]
-    check_alpha_digits(alphas, max(m2.numerator, m2.denominator, mm2.numerator, mm2.denominator))
+    alphas = check_alpha_digits(alphas, max(m2.numerator, m2.denominator, mm2.numerator, mm2.denominator))
     return IndexSet(m1=m1, m2=m2, mm2=mm2, sdd=sdd,
                     r_alpha={a: _power(m2, a) for a in alphas},
                     rr_alpha={a: _power(mm2, a) for a in alphas})

@@ -14,16 +14,17 @@ string scans, which keep no per-line state, and parsed in bulk, its ids
 read by the standard library's JSON number scanner; any other text, and
 canonical text with an id JSON refuses (a leading zero, or past
 ``int()``'s digit limit), goes through a per-line parser that accepts and
-rejects exactly as before.  Graphs are immutable, so everything here is
-safe to share between workers.
+rejects exactly as before.
 
-Only ``Graph(vertex_count, edges)`` checks its edges: it is the constructor
-for edges from outside the program, a library caller's or an edge list's.
-The package's own generators, :func:`mladder.ladder.build_ladder` and
-:meth:`Graph.line_graph`, make sorted ``(u, v)``, ``u < v`` edges and their
-degrees by construction and store them through :meth:`Graph._assemble`,
-which checks only the vertex limit; tests compare both with what
-``Graph(...)`` makes of the same edges.
+Each input is checked once, where it enters.  ``Graph(vertex_count,
+edges)`` is the constructor for edges from outside the program, a library
+caller's or an edge list's, and checks them and the vertex limit.  The
+package's own generators, :func:`mladder.ladder.build_ladder` and
+:meth:`Graph.line_graph`, carry no such checks: each makes sorted ``(u,
+v)``, ``u < v`` edges and their degrees by construction, checks its edge
+budget before allocating any of them, and stores them through
+:meth:`Graph._assemble`, which checks nothing.  Tests compare both
+generators with what ``Graph(...)`` makes of the same edges.
 """
 
 from __future__ import annotations
@@ -47,18 +48,15 @@ with a ``ValueError`` rather than exhausting memory."""
 MAX_EDGES = 10**7
 """The largest edge count a generated graph may have: a ladder, or a line
 graph.  Like :data:`MAX_VERTICES` it is checked before the edges are
-allocated, from a count that is cheap to compute."""
+allocated, from a count that is cheap to compute.  It must not exceed
+:data:`MAX_VERTICES`: a generator's edge budget then keeps its vertex count
+within that limit too, so the generators check no vertex count."""
 
 # Deletes the ASCII digits only: other scripts' digits, like every other
 # character, survive it.
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 # Canonical text with commas for its blanks is a JSON array body.
 _TO_COMMAS = str.maketrans(" \n", ",,")
-
-
-def _check_vertex_limit(vertex_count: int) -> None:
-    if vertex_count > MAX_VERTICES:
-        raise ValueError(f"vertex_count {vertex_count} exceeds the limit of {MAX_VERTICES}")
 
 
 def _is_canonical(text: str) -> bool:
@@ -85,7 +83,8 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
         if type(vertex_count) is not int or vertex_count < 0:
             raise ValueError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
-        _check_vertex_limit(vertex_count)
+        if vertex_count > MAX_VERTICES:
+            raise ValueError(f"vertex_count {vertex_count} exceeds the limit of {MAX_VERTICES}")
         # Checked in bulk rather than edge by edge, ids first so that the
         # sort only ever compares ints (``type(x) is int`` also rejects
         # bools).  Edges already given as (smaller, larger), as canonical
@@ -119,15 +118,15 @@ class Graph:
     @classmethod
     def _assemble(cls, vertex_count: int, edges: tuple[Edge, ...],
                   degrees: tuple[int, ...]) -> "Graph":
-        """A graph from canonical data, stored as given.
+        """A graph from canonical data, stored as given, with no check.
 
         For the package's generators only: ``edges`` is a sorted tuple of
         distinct ``(u, v)`` pairs with ``0 <= u < v < vertex_count``, and
-        ``degrees`` holds every vertex's degree.  Nothing of that is checked
-        here, only the vertex limit; tests check each generator against
+        ``degrees`` holds every vertex's degree.  Each generator has already
+        checked its edge budget, which also bounds ``vertex_count`` by
+        :data:`MAX_VERTICES`; tests check each generator against
         ``Graph(vertex_count, edges)``.
         """
-        _check_vertex_limit(vertex_count)
         graph = object.__new__(cls)
         graph._n, graph._edges, graph._degrees = vertex_count, edges, degrees
         return graph
@@ -200,6 +199,13 @@ class Graph:
         :data:`MAX_EDGES` edges is refused with a ``ValueError`` before any
         pair is made.  The pairs are sorted, and the vertex of edge ``(u, v)``
         has degree ``d_u + d_v - 2``.
+
+        That edge budget is the only check: the result's vertex count ``E``,
+        this graph's edge count, needs none.  This graph has ``V`` vertices,
+        at most :data:`MAX_VERTICES`, so if ``E > MAX_VERTICES``, then
+        ``sum C(d, 2) >= E * (2E/V - 1) > E > MAX_VERTICES >= MAX_EDGES``
+        (the sum of squared degrees is at least ``(2E)**2 / V``), and the
+        budget refuses the line graph first.
         """
         size = sum(map(comb, filter(None, self._degrees), repeat(2)))
         if size > MAX_EDGES:
@@ -221,9 +227,9 @@ class Graph:
         First line ``p <vertex_count> <edge_count>``, then one ``u v`` line
         per edge in ascending lexicographic order, LF line endings.
         """
-        lines = [f"p {self._n} {len(self._edges)}"]
-        lines.extend(f"{u} {v}" for u, v in self._edges)
-        return "\n".join(lines) + "\n"
+        # The last, empty piece ends the text with a newline without copying it.
+        return "\n".join([f"p {self._n} {len(self._edges)}",
+                          *(f"{u} {v}" for u, v in self._edges), ""])
 
     @classmethod
     def from_edgelist(cls, text: str) -> "Graph":

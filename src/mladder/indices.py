@@ -22,8 +22,9 @@ Integer alpha is computed exactly in rational arithmetic; non-integer
 alpha in double precision, each route taking the correctly rounded sum of
 one rounded term per entry of its own tally (compare with a relative
 tolerance of 1e-12).
-The edge route checks its own integer alphas with
-:func:`check_alpha_digits` before it raises anything to a power.
+Each route checks its own integer alphas with :func:`check_alpha_digits`
+before it raises anything to a power; the check computes no index value,
+so the routes still share no summation code.
 """
 
 from __future__ import annotations
@@ -58,21 +59,28 @@ def alpha_list(alphas: Iterable[Alpha]) -> list[Alpha]:
     return list(dict.fromkeys(map(normalize_alpha, alphas))) or [1]
 
 
-def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> None:
-    """Refuse an integer alpha whose exact values would be too long to print.
+def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> list[Alpha]:
+    """Return the alphas normalized, in order, once no integer one is too large to print.
 
-    The caller vouches that every value it prints is a sum of ``terms``
-    powers ``p ** a`` or ``p ** -a``, each ``p`` dividing ``base``; its
-    numerator and denominator then have at most ``|a| * log10(base) +
-    log10(terms) + 1`` digits.  Above ``sys.get_int_max_str_digits()``
-    Python refuses to print an int, so such an alpha raises ``ValueError``
-    here, before any power exists, which also bounds the work.  Float
-    alpha is not checked: its powers overflow to ``OverflowError``.
+    The caller vouches that the numerator and the denominator of every
+    exact value it makes for an integer alpha ``a`` are at most ``terms *
+    base ** |a|``, so they have at most ``|a| * log10(base) +
+    log10(terms) + 1`` digits.  A sum of ``terms`` powers ``p ** a`` or
+    ``p ** -a``, each ``p`` dividing ``base``, is such a value.  So is a
+    sum of rational multiples ``c_k * p_k ** a`` with ``terms = L * sum
+    |numerator of c_k|``, ``L`` the lcm of the ``c_k``'s denominators:
+    over the common denominator ``L`` (``L * base ** |a|`` for negative
+    ``a``), both parts stay within that bound.  Above
+    ``sys.get_int_max_str_digits()`` Python refuses to print an int, so
+    such an alpha raises ``ValueError`` here, before any power exists,
+    which also bounds the work.  Float alpha is not checked: its powers
+    overflow to ``OverflowError``.
     """
+    alphas = [normalize_alpha(a) for a in alphas]
     # 0 (no limit) would let one flag take unbounded time; keep the default.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     if base <= 1:
-        return  # every power of 1 is 1
+        return alphas  # every power of 1 is 1
     scale, extra = math.log10(base), math.log10(max(terms, 1)) + 1
     for a in alphas:
         if not isinstance(a, int):
@@ -84,6 +92,7 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> No
             size = f"up to {digits:.0f} digits, over" if math.isfinite(digits) else "more than"
             raise ValueError(f"alpha {a} is too large for exact arithmetic: its values would have "
                              f"{size} the limit of {limit} digits for printing an integer")
+    return alphas
 
 
 class IndexSet(NamedTuple):
@@ -135,8 +144,7 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     product.
     """
     d = g.degrees()
-    alphas = [normalize_alpha(a) for a in alphas]
-    check_alpha_digits(alphas, math.lcm(*filter(None, set(d))) ** 2, g.edge_count)
+    alphas = check_alpha_digits(alphas, math.lcm(*filter(None, set(d))) ** 2, g.edge_count)
     degree_pairs = Counter((d[u], d[v]) for u, v in g.edges)
     product_counts: Counter = Counter()
     for (du, dv), c in degree_pairs.items():
@@ -171,19 +179,29 @@ def indices_from_mpoly(p: MPoly, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     terms, keeping the polynomial core exact: the correctly rounded sum
     (``math.fsum``) of one rounded term per ``(i, j)``.  Every term must
     have both exponents >= 1 (true of any graph's M-polynomial); otherwise
-    the negative weights raise ``ZeroExponentWeight``.
+    the negative weights raise ``ZeroExponentWeight``.  An integer alpha
+    is first refused by :func:`check_alpha_digits` when its values would
+    be too long to print.  Its ``base`` is the lcm of the nonzero products
+    ``i * j``, and its ``terms`` the lcm of the coefficients' denominators
+    times the sum of their absolute numerators.  For a graph's
+    M-polynomial ``terms`` is the edge count and ``base`` divides the edge
+    route's, so this route refuses no alpha that one accepts.
     """
+    terms = p.terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    alphas = check_alpha_digits(alphas, math.lcm(*filter(None, (i * j for i, j in terms))),
+                                den * sum(abs(c.numerator) for c in terms.values()))
     m1 = (p.weight_by(1, 0) + p.weight_by(0, 1)).eval_at_one()
     m2 = p.weight_by(1, 1).eval_at_one()
     mm2 = p.weight_by(-1, -1).eval_at_one()
     sdd = (p.weight_by(1, -1) + p.weight_by(-1, 1)).eval_at_one()
     r: dict[Alpha, Real] = {}
     rr: dict[Alpha, Real] = {}
-    for alpha in (normalize_alpha(a) for a in alphas):
+    for alpha in alphas:
         if isinstance(alpha, int):
             r[alpha] = p.weight_by(alpha, alpha).eval_at_one()
             rr[alpha] = p.weight_by(-alpha, -alpha).eval_at_one()
         else:
-            r[alpha] = math.fsum(float(c) * (i * j) ** alpha for (i, j), c in p.terms.items())
-            rr[alpha] = math.fsum(float(c) * (i * j) ** -alpha for (i, j), c in p.terms.items())
+            r[alpha] = math.fsum(float(c) * (i * j) ** alpha for (i, j), c in terms.items())
+            rr[alpha] = math.fsum(float(c) * (i * j) ** -alpha for (i, j), c in terms.items())
     return IndexSet(m1=m1, m2=m2, mm2=mm2, sdd=sdd, r_alpha=r, rr_alpha=rr)

@@ -229,7 +229,7 @@ def test_stdout_closed_mid_write_unbuffered_exit_1():
 
 @pytest.mark.parametrize("header,argv,message", [
     ("p 100000000000 0\n", ["mpoly"], "vertex_count 100000000000 exceeds the limit of 10000000"),
-    (None, ["gen", "--m", "100000", "--n", "100000"], "(m-1)*n = 9999900000 vertices"),
+    (None, ["gen", "--m", "100000", "--n", "100000"], "(m-1)*(2n-1) = 19999700001 edges"),
 ])
 def test_vertex_count_past_the_limit_exit_2(tmp_path, capsys, header, argv, message):
     # Refused before anything of that size is allocated: not a hang or a MemoryError.

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import mladder.graph
 from mladder import Graph, build_ladder
-from mladder.graph import MAX_VERTICES
+from mladder.graph import MAX_EDGES, MAX_VERTICES
 
 from conftest import cycle_graph, path_graph, star_graph
 from test_equivalence import simple_graphs
@@ -86,17 +87,40 @@ def test_line_graph_past_the_edge_limit():
         star_graph(5000).line_graph()
 
 
-def test_line_graph_vertex_limit_boundary(monkeypatch):
-    # At a lowered limit: the line graph of star_graph(k) has k vertices.  The
-    # stars are built first, as the limit applies to them too.
-    star4, star5 = star_graph(4), star_graph(5)
+def test_edge_limit_does_not_exceed_vertex_limit():
+    # The generators check no vertex count: their edge budgets bound it only
+    # while MAX_EDGES <= MAX_VERTICES.
+    assert MAX_EDGES <= MAX_VERTICES
+
+
+def test_line_graph_past_the_vertex_limit_is_refused_by_its_edge_budget(monkeypatch):
+    # With both limits at 4: K4 has 4 vertices, but its line graph would have
+    # 6, and the budget refuses its 4 * C(3, 2) = 12 edges first.  The line
+    # graph of the 4-cycle, a 4-cycle too, is at both limits.
     monkeypatch.setattr(mladder.graph, "MAX_VERTICES", 4)
-    assert star4.line_graph().vertex_count == 4
-    with pytest.raises(ValueError, match="^vertex_count 5 exceeds the limit of 4$") as built:
-        star5.line_graph()
-    with pytest.raises(ValueError) as given_edges:
-        Graph(5)
-    assert str(built.value) == str(given_edges.value)
+    monkeypatch.setattr(mladder.graph, "MAX_EDGES", 4)
+    line = cycle_graph(4).line_graph()
+    assert (line.vertex_count, line.edge_count) == (4, 4)
+    k4 = Graph(4, list(combinations(range(4), 2)))
+    with pytest.raises(ValueError, match="^the line graph has 12 edges, more than the limit of 4$"):
+        k4.line_graph()
+
+
+@given(simple_graphs(), st.integers(0, 8))
+def test_line_graph_within_its_edge_budget_is_within_the_vertex_limit(g, extra):
+    # With both limits at k >= V: a line graph of E > k vertices would have
+    # sum C(d, 2) >= E * (2E/V - 1) > E > k edges, so the budget refuses it.
+    k = g.vertex_count + extra
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mladder.graph, "MAX_VERTICES", k)
+        patch.setattr(mladder.graph, "MAX_EDGES", k)
+        try:
+            line = g.line_graph()
+        except ValueError as refused:
+            assert re.fullmatch(rf"the line graph has \d+ edges, more than the limit of {k}",
+                                str(refused))
+        else:
+            assert line.vertex_count <= k
 
 
 def test_edgelist_round_trip():

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -86,6 +87,41 @@ def test_edge_route_refuses_alphas_too_large_to_print():
     with pytest.raises(ValueError, match=r"more than the limit of \d+ digits"):
         check_alpha_digits([10**400], 144)
     check_alpha_digits([10**400], 1)
+
+
+def test_operator_route_refuses_alphas_too_large_to_print():
+    # A graph's M-polynomial gets the edge route's bound (here 144 and 20
+    # edges), so both routes refuse with the same message, before any power.
+    g = build_ladder(5, 3)
+    with pytest.raises(ValueError, match="too large for exact arithmetic") as by_edges:
+        indices_from_edges(g, [10**6])
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as by_mpoly:
+        indices_from_mpoly(g.m_polynomial(), [10**6])
+    assert time.perf_counter() - start < 1
+    assert str(by_mpoly.value) == str(by_edges.value)
+
+
+def test_operator_route_bounds_rational_coefficients():
+    # base = lcm(12, 10, 36) = 180 and terms = lcm(5, 8) * (7 + 3 + 11) = 840:
+    # 1904 * log10(180) + log10(840) + 1 is about 4298.0 digits, 1905 about 4300.2.
+    from mladder import MPoly
+
+    p = MPoly({(3, 4): Fraction(7, 5), (2, 5): Fraction(-3, 8), (6, 6): 11})
+    for a in (1904, -1904):
+        s = indices_from_mpoly(p, [a])
+        for value in (s.r_alpha[a], s.rr_alpha[a]):
+            assert str(value.numerator) and str(value.denominator)
+        with pytest.raises(ValueError, match="too large for exact arithmetic"):
+            indices_from_mpoly(p, [a + (1 if a > 0 else -1)])
+
+
+def test_alpha_check_returns_the_normalized_alphas_in_order():
+    alphas = [2.0, 0.5, 1, 1.0, -3.0]
+    for base in (1, 144):
+        checked = check_alpha_digits(alphas, base, 20)
+        assert checked == [2, 0.5, 1, 1, -3]
+        assert [type(a) for a in checked] == [int, float, int, int, int]
 
 
 def test_paired_rows_follow_the_results_own_alphas():

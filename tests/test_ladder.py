@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mladder.graph
 import mladder.ladder
 from mladder import Graph, InvalidParams, build_ladder
 
@@ -30,12 +31,23 @@ def test_edges_by_degree_pair():
     assert g.m_polynomial().terms == {(3, 3): 12, (3, 4): 12, (4, 4): 6}
 
 
-def test_vertex_limit_boundary(monkeypatch):
-    # At a lowered limit: M_{5,3} has exactly 12 vertices, M_{5,4} has 16.
-    monkeypatch.setattr(mladder.ladder, "MAX_VERTICES", 12)
-    assert build_ladder(5, 3).vertex_count == 12
-    with pytest.raises(InvalidParams, match="more than the limit of 12"):
-        build_ladder(5, 4)
+def test_edge_budget_refuses_what_the_vertex_limit_did(monkeypatch):
+    # A ladder has (m-1)*n <= (m-1)*(2n-1) vertices, so with both limits at k
+    # the edge budget alone refuses exactly the ladders refused when the
+    # vertex count was checked too.
+    for k in range(8 * 17 + 2):
+        monkeypatch.setattr(mladder.graph, "MAX_VERTICES", k)
+        monkeypatch.setattr(mladder.graph, "MAX_EDGES", k)
+        monkeypatch.setattr(mladder.ladder, "MAX_EDGES", k)
+        for m in range(4, 10):
+            for n in range(2, 10):
+                old_rule = (m - 1) * n > k or (m - 1) * (2 * n - 1) > k
+                try:
+                    g = build_ladder(m, n)
+                except InvalidParams:
+                    assert old_rule, (k, m, n)
+                else:
+                    assert not old_rule and g.vertex_count <= k, (k, m, n)
 
 
 def test_edge_limit_boundary(monkeypatch):
@@ -52,6 +64,11 @@ def test_refuses_ladder_past_the_edge_limit():
     with pytest.raises(InvalidParams, match=r"\(m-1\)\*\(2n-1\) = 19900000 edges, more than "
                                             r"the limit of 10000000 \(m=100001, n=100\)"):
         build_ladder(100001, 100)
+    # 10,000,002 vertices, past the vertex limit: the edge budget refuses it and
+    # names its edges.
+    with pytest.raises(InvalidParams, match=r"^M_\{m,n\} has \(m-1\)\*\(2n-1\) = 15000003 edges, "
+                                            r"more than the limit of 10000000 \(m=5000002, n=2\)$"):
+        build_ladder(5000002, 2)
 
 
 def test_rejects_small_parameters():
