@@ -34,7 +34,7 @@ from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .graph import Graph
-from .indices import IndexSet, alpha_label, alpha_list, indices_from_edges, indices_from_mpoly
+from .indices import IndexSet, alpha_label, indices_from_edges, indices_from_mpoly
 from .ladder import MIN_M, MIN_N, InvalidParams, build_ladder
 from .verify import SUBJECT_GROUPS, json_value, table, text_value, values_equal, verify_all
 
@@ -154,7 +154,7 @@ def _cmd_mpoly(args, parser) -> tuple[list[str], int]:
 
 def _cmd_indices(args, parser) -> tuple[list[str], int]:
     g = _base_graph(args, parser)
-    alphas = alpha_list(args.alpha or ())
+    alphas = args.alpha or (1,)
     # With --line the two routes share not even the line graph: the edge
     # sum runs over the built line graph, the polynomial is tallied from g.
     from_edges = indices_from_edges(g.line_graph() if args.line else g, alphas)
@@ -174,7 +174,7 @@ def _cmd_indices(args, parser) -> tuple[list[str], int]:
 
 
 def _cmd_verify(args, parser) -> tuple[list[str], int]:
-    report = verify_all(args.alpha or (), SUBJECT_GROUPS[args.subject], args.m_range, args.n_range)
+    report = verify_all(args.alpha or (1,), SUBJECT_GROUPS[args.subject], args.m_range, args.n_range)
     pieces = [report.to_json(), "\n"] if args.format == "json" else [report.to_text()]
     return pieces, 3 if report.theorem_mismatches() else 0
 

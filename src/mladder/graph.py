@@ -1,11 +1,11 @@
 """Simple undirected graph kernel.
 
-Vertices are the integers ``0 .. vertex_count-1``, at most
-:data:`MAX_VERTICES` of them; edges are unordered pairs with no loops and
-no multiplicity (duplicates are rejected at construction, not merged).
-On top of that sit the degree tally, the M-polynomial (edges tallied by
-their endpoint-degree pairs) and the line-graph transform, whose result
-may have at most :data:`MAX_EDGES` edges.  The line
+Vertices are the integers ``0 .. vertex_count-1``; edges are unordered
+pairs with no loops and no multiplicity (duplicates are rejected at
+construction, not merged).  A graph has at most :data:`MAX_SIZE` vertices
+and at most :data:`MAX_SIZE` edges.  On top of that sit the degree tally,
+the M-polynomial (edges tallied by their endpoint-degree pairs) and the
+line-graph transform.  The line
 graph's M-polynomial is also tallied without building it, once per
 distinct neighbour-degree profile of a vertex; only vertices with edges
 have one, so memory stays O(E).  Edge-list text in the canonical form
@@ -13,18 +13,18 @@ that :meth:`Graph.to_edgelist` writes is recognised by a few C-level
 string scans, which keep no per-line state, and parsed in bulk, its ids
 read by the standard library's JSON number scanner; any other text, and
 canonical text with an id JSON refuses (a leading zero, or past
-``int()``'s digit limit), goes through a per-line parser that accepts and
-rejects exactly as before.
+``int()``'s digit limit), goes through a per-line parser, which names the
+offending line.
 
 Each input is checked once, where it enters.  ``Graph(vertex_count,
 edges)`` is the constructor for edges from outside the program, a library
-caller's or an edge list's, and checks them and the vertex limit.  The
-package's own generators, :func:`mladder.ladder.build_ladder` and
-:meth:`Graph.line_graph`, carry no such checks: each makes sorted ``(u,
-v)``, ``u < v`` edges and their degrees by construction, checks its edge
-budget before allocating any of them, and stores them through
-:meth:`Graph._assemble`, which checks nothing.  Tests compare both
-generators with what ``Graph(...)`` makes of the same edges.
+caller's or an edge list's, and checks them and both counts against the
+limit.  The package's own generators, :func:`mladder.ladder.build_ladder`
+and :meth:`Graph.line_graph`, carry no such checks: each makes sorted
+``(u, v)``, ``u < v`` edges and their degrees by construction, checks its
+edge count against the limit before allocating any of them, and stores
+them through :meth:`Graph._assemble`, which checks nothing.  Tests compare
+both generators with what ``Graph(...)`` makes of the same edges.
 """
 
 from __future__ import annotations
@@ -40,17 +40,11 @@ from .mpoly import MPoly
 
 Edge = tuple[int, int]
 
-MAX_VERTICES = 10**7
-"""The largest vertex count a graph may have.  It is checked before anything
-of that size is allocated, so a huge header or ladder size is refused at once
-with a ``ValueError`` rather than exhausting memory."""
-
-MAX_EDGES = 10**7
-"""The largest edge count a generated graph may have: a ladder, or a line
-graph.  Like :data:`MAX_VERTICES` it is checked before the edges are
-allocated, from a count that is cheap to compute.  It must not exceed
-:data:`MAX_VERTICES`: a generator's edge budget then keeps its vertex count
-within that limit too, so the generators check no vertex count."""
+MAX_SIZE = 10**7
+"""The largest vertex count and the largest edge count any graph may have.
+Each graph maker checks it once, from a count it has before it allocates
+anything of that size, so a huge header, edge list, ladder or line graph is
+refused with a ``ValueError`` rather than exhausting memory."""
 
 # Deletes the ASCII digits only: other scripts' digits, like every other
 # character, survive it.
@@ -83,15 +77,17 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
         if type(vertex_count) is not int or vertex_count < 0:
             raise ValueError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
-        if vertex_count > MAX_VERTICES:
-            raise ValueError(f"vertex_count {vertex_count} exceeds the limit of {MAX_VERTICES}")
+        if vertex_count > MAX_SIZE:
+            raise ValueError(f"vertex_count {vertex_count} exceeds the limit of {MAX_SIZE}")
+        edges = list(edges)
+        if len(edges) > MAX_SIZE:
+            raise ValueError(f"the graph has {len(edges)} edges, more than the limit of {MAX_SIZE}")
         # Checked in bulk rather than edge by edge, ids first so that the
         # sort only ever compares ints (``type(x) is int`` also rejects
         # bools).  Edges already given as (smaller, larger), as canonical
         # edge lists give them, hold no loop and need no flipping.  On the
         # sorted list a loop is an edge that is not strictly ordered, and a
         # duplicate is equal to its sorted neighbour.
-        edges = list(edges)
         if not all(type(u) is int and type(v) is int for u, v in edges):
             u, v = next((u, v) for u, v in edges if type(u) is not int or type(v) is not int)
             raise ValueError(f"vertex identifiers must be integers, got ({u!r}, {v!r})")
@@ -123,9 +119,8 @@ class Graph:
         For the package's generators only: ``edges`` is a sorted tuple of
         distinct ``(u, v)`` pairs with ``0 <= u < v < vertex_count``, and
         ``degrees`` holds every vertex's degree.  Each generator has already
-        checked its edge budget, which also bounds ``vertex_count`` by
-        :data:`MAX_VERTICES`; tests check each generator against
-        ``Graph(vertex_count, edges)``.
+        checked its counts against :data:`MAX_SIZE`; tests check each
+        generator against ``Graph(vertex_count, edges)``.
         """
         graph = object.__new__(cls)
         graph._n, graph._edges, graph._degrees = vertex_count, edges, degrees
@@ -196,20 +191,14 @@ class Graph:
         vertex produces every line-graph edge exactly once.  Only vertices
         with edges get an incidence list: O(E) memory.  A vertex of degree
         ``d`` joins ``C(d, 2)`` pairs, and a line graph of more than
-        :data:`MAX_EDGES` edges is refused with a ``ValueError`` before any
-        pair is made.  The pairs are sorted, and the vertex of edge ``(u, v)``
-        has degree ``d_u + d_v - 2``.
-
-        That edge budget is the only check: the result's vertex count ``E``,
-        this graph's edge count, needs none.  This graph has ``V`` vertices,
-        at most :data:`MAX_VERTICES`, so if ``E > MAX_VERTICES``, then
-        ``sum C(d, 2) >= E * (2E/V - 1) > E > MAX_VERTICES >= MAX_EDGES``
-        (the sum of squared degrees is at least ``(2E)**2 / V``), and the
-        budget refuses the line graph first.
+        :data:`MAX_SIZE` edges is refused with a ``ValueError`` before any
+        pair is made; its vertices are this graph's edges, so their count is
+        within the limit already.  The pairs are sorted, and the vertex of
+        edge ``(u, v)`` has degree ``d_u + d_v - 2``.
         """
         size = sum(map(comb, filter(None, self._degrees), repeat(2)))
-        if size > MAX_EDGES:
-            raise ValueError(f"the line graph has {size} edges, more than the limit of {MAX_EDGES}")
+        if size > MAX_SIZE:
+            raise ValueError(f"the line graph has {size} edges, more than the limit of {MAX_SIZE}")
         incident = defaultdict(list)
         for index, (u, v) in enumerate(self._edges):
             incident[u].append(index)

@@ -22,9 +22,9 @@ Integer alpha is computed exactly in rational arithmetic; non-integer
 alpha in double precision, each route taking the correctly rounded sum of
 one rounded term per entry of its own tally (compare with a relative
 tolerance of 1e-12).
-Each route checks its own integer alphas with :func:`check_alpha_digits`
-before it raises anything to a power; the check computes no index value,
-so the routes still share no summation code.
+Each route normalizes its alphas and checks its integer ones with
+:func:`check_alpha_digits` before it raises anything to a power; the check
+computes no index value, so the routes still share no summation code.
 """
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ def alpha_label(alpha: Alpha) -> str:
     return repr(normalize_alpha(alpha))
 
 
-def alpha_list(alphas: Iterable[Alpha]) -> list[Alpha]:
-    """The normalized alphas, first occurrence of each kept in order; ``[1]`` if none."""
-    return list(dict.fromkeys(map(normalize_alpha, alphas))) or [1]
-
-
 def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> list[Alpha]:
     """Return the alphas normalized, in order, once no integer one is too large to print.
+
+    This is the one place alphas are normalized: every index producer
+    calls it on the alphas it is given, and keys its Randic families by
+    what it returns, so a repeated alpha is one key, kept at its first
+    occurrence, and no alphas give no Randic values.
 
     The caller vouches that the numerator and the denominator of every
     exact value it makes for an integer alpha ``a`` are at most ``terms *
@@ -73,8 +73,8 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> li
     ``a``), both parts stay within that bound.  Above
     ``sys.get_int_max_str_digits()`` Python refuses to print an int, so
     such an alpha raises ``ValueError`` here, before any power exists,
-    which also bounds the work.  Float alpha is not checked: its powers
-    overflow to ``OverflowError``.
+    which also bounds the work; the message names the bound rounded up.
+    Float alpha is not checked: its powers overflow to ``OverflowError``.
     """
     alphas = [normalize_alpha(a) for a in alphas]
     # 0 (no limit) would let one flag take unbounded time; keep the default.
@@ -89,7 +89,7 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> li
         digits = abs(a) * scale + extra if abs(a) <= sys.float_info.max else math.inf
         if digits > limit:
             # A float product past ~1e308 is inf, which is no digit count to print.
-            size = f"up to {digits:.0f} digits, over" if math.isfinite(digits) else "more than"
+            size = f"up to {math.ceil(digits)} digits, over" if math.isfinite(digits) else "more than"
             raise ValueError(f"alpha {a} is too large for exact arithmetic: its values would have "
                              f"{size} the limit of {limit} digits for printing an integer")
     return alphas

@@ -9,7 +9,7 @@ enumeration oracle for the closed forms checked elsewhere.
 
 from __future__ import annotations
 
-from .graph import MAX_EDGES, Graph
+from .graph import MAX_SIZE, Graph
 
 MIN_M = 4
 MIN_N = 2
@@ -41,19 +41,18 @@ def build_ladder(m: int, n: int) -> Graph:
     three families are sorted together, and each column's degrees are
     ``(3, 4, ..., 4, 3)`` (all 3 at ``n = 2``), so the graph is assembled
     without the checks ``Graph(...)`` makes of outside edges.  The one
-    check is the edge budget: a ladder of more than ``MAX_EDGES`` edges is
-    refused before any edge is generated.  A ladder has no more vertices
-    than edges, ``(m-1)*n <= (m-1)*(2n-1)``, and ``MAX_EDGES <= MAX_VERTICES``,
-    so that also keeps its vertex count within the vertex limit.
+    check is the size limit: a ladder of more than ``MAX_SIZE`` edges is
+    refused before any edge is generated.  Its vertex count, ``(m-1)*n``, is
+    smaller.
     """
     if not (isinstance(m, int) and isinstance(n, int)):
         raise InvalidParams(f"m and n must be integers, got ({m!r}, {n!r})")
     if m < MIN_M or n < MIN_N:
         raise InvalidParams(f"need m >= {MIN_M} and n >= {MIN_N}, got (m={m}, n={n})")
     edge_count = (m - 1) * (2 * n - 1)
-    if edge_count > MAX_EDGES:
+    if edge_count > MAX_SIZE:
         raise InvalidParams(f"M_{{m,n}} has (m-1)*(2n-1) = {edge_count} edges, more than the "
-                            f"limit of {MAX_EDGES} (m={m}, n={n})")
+                            f"limit of {MAX_SIZE} (m={m}, n={n})")
     size = (m - 1) * n
     edges = [(v, v + 1) for v in range(size) if v % n != n - 1]  # vertical
     edges += [(v, v + n) for v in range(size - n)]  # horizontal

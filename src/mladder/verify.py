@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import closed_forms
 from .closed_forms import CLAIMS, Claim
 from .graph import Graph
-from .indices import Alpha, Real, alpha_list, indices_from_edges
+from .indices import Alpha, Real, indices_from_edges
 from .ladder import MIN_M, MIN_N, InvalidParams, build_ladder
 
 Range = tuple[int, int]
@@ -226,8 +226,12 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
     domain are recorded as out-of-domain.  Each grid point's ladder is
     built once and its line graph at most once, then shared by every
     subject at that point; nothing is kept from one point to the next.
+
+    The alphas are used as given: each index producer normalizes them and
+    keeps each once, in first-occurrence order, and no alphas give no
+    Randic rows.
     """
-    alphas = alpha_list(alphas)
+    alphas = tuple(alphas)  # read once: every grid point passes them on again
     grids: dict[str, tuple[Range, Range]] = {}
     for subject in subjects:
         if subject not in CLAIMS:

@@ -6,13 +6,15 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mladder import build_ladder, cli
+import mladder.graph
+from mladder import Graph, build_ladder, cli
 from mladder.cli import main
 
 from conftest import star_graph
@@ -255,6 +257,22 @@ def test_edge_count_past_the_limit_exit_2(tmp_path, monkeypatch, capsys, argv, m
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines()[0] == message
+
+
+def test_edge_list_past_the_edge_limit_exit_2(tmp_path, monkeypatch, capsys):
+    # At a lowered limit of 9, K5's 10 edges are refused whether the file is
+    # canonical or CRLF text with + ids.
+    canonical = Graph(5, list(combinations(range(5), 2))).to_edgelist()
+    header, *lines = canonical.splitlines()
+    monkeypatch.setattr(mladder.graph, "MAX_SIZE", 9)
+    for name, text in (("canonical", canonical),
+                       ("messy", "\r\n".join([header] + ["+" + line for line in lines]))):
+        path = tmp_path / f"{name}.edgelist"
+        path.write_bytes(text.encode("ascii"))
+        assert main(["mpoly", "--from-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "mladder mpoly: error: the graph has 10 edges, more than the limit of 9\n")
 
 
 def test_invalid_params_exit_2(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mladder.graph
 from mladder import Graph, build_ladder
-from mladder.graph import MAX_EDGES, MAX_VERTICES
+from mladder.graph import MAX_SIZE
 
 from conftest import cycle_graph, path_graph, star_graph
 from test_equivalence import simple_graphs
@@ -49,9 +49,30 @@ def test_rejects_out_of_range_vertex():
 
 
 def test_rejects_vertex_count_past_the_limit():
-    message = f"^vertex_count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}$"
+    message = f"^vertex_count {MAX_SIZE + 1} exceeds the limit of {MAX_SIZE}$"
     with pytest.raises(ValueError, match=message):
-        Graph(MAX_VERTICES + 1)
+        Graph(MAX_SIZE + 1)
+
+
+def test_edge_count_limit_boundary(monkeypatch):
+    # At a lowered limit of 6: K4 has exactly 6 edges, K4 plus a pendant edge 7.
+    k4 = list(combinations(range(4), 2))
+    monkeypatch.setattr(mladder.graph, "MAX_SIZE", 6)
+    assert Graph(5, k4).edge_count == 6
+    with pytest.raises(ValueError, match="^the graph has 7 edges, more than the limit of 6$"):
+        Graph(5, k4 + [(0, 4)])
+
+
+def test_edge_lists_past_the_edge_limit_are_refused(monkeypatch):
+    # Canonical text, parsed in bulk, and messy text (CRLF, + ids), parsed
+    # line by line, reach the same check in Graph(...).
+    canonical = Graph(5, list(combinations(range(5), 2))).to_edgelist()
+    header, *lines = canonical.splitlines()
+    messy = "\r\n".join([header] + ["+" + line for line in lines])
+    monkeypatch.setattr(mladder.graph, "MAX_SIZE", 9)
+    for text in (canonical, messy):
+        with pytest.raises(ValueError, match="^the graph has 10 edges, more than the limit of 9$"):
+            Graph.from_edgelist(text)
 
 
 def test_line_graph_of_path():
@@ -70,14 +91,16 @@ def test_line_graph_of_star():
 
 def test_line_graph_edge_limit_boundary(monkeypatch):
     # At a lowered limit: the hub of star_graph(4) joins C(4, 2) = 6 pairs,
-    # and a path adds one pair per inner vertex.
-    monkeypatch.setattr(mladder.graph, "MAX_EDGES", 6)
-    assert star_graph(4).line_graph().edge_count == 6
-    assert path_graph(8).line_graph().edge_count == 6
+    # and a path adds one pair per inner vertex.  The paths have more than 6
+    # vertices, so every base is built before the limit is lowered.
+    stars, paths = (star_graph(4), star_graph(5)), (path_graph(8), path_graph(9))
+    monkeypatch.setattr(mladder.graph, "MAX_SIZE", 6)
+    assert stars[0].line_graph().edge_count == 6
+    assert paths[0].line_graph().edge_count == 6
     with pytest.raises(ValueError, match="^the line graph has 10 edges, more than the limit of 6$"):
-        star_graph(5).line_graph()
+        stars[1].line_graph()
     with pytest.raises(ValueError, match="^the line graph has 7 edges, more than the limit of 6$"):
-        path_graph(9).line_graph()
+        paths[1].line_graph()
 
 
 def test_line_graph_past_the_edge_limit():
@@ -87,40 +110,34 @@ def test_line_graph_past_the_edge_limit():
         star_graph(5000).line_graph()
 
 
-def test_edge_limit_does_not_exceed_vertex_limit():
-    # The generators check no vertex count: their edge budgets bound it only
-    # while MAX_EDGES <= MAX_VERTICES.
-    assert MAX_EDGES <= MAX_VERTICES
-
-
 def test_line_graph_past_the_vertex_limit_is_refused_by_its_edge_budget(monkeypatch):
-    # With both limits at 4: K4 has 4 vertices, but its line graph would have
-    # 6, and the budget refuses its 4 * C(3, 2) = 12 edges first.  The line
-    # graph of the 4-cycle, a 4-cycle too, is at both limits.
-    monkeypatch.setattr(mladder.graph, "MAX_VERTICES", 4)
-    monkeypatch.setattr(mladder.graph, "MAX_EDGES", 4)
+    # With the limit at 4: K4, built before the limit is lowered, has 6 edges,
+    # so its line graph would have 6 vertices, and the budget refuses its
+    # 4 * C(3, 2) = 12 edges.  The line graph of the 4-cycle, a 4-cycle too,
+    # is at the limit.
+    k4 = Graph(4, list(combinations(range(4), 2)))
+    monkeypatch.setattr(mladder.graph, "MAX_SIZE", 4)
     line = cycle_graph(4).line_graph()
     assert (line.vertex_count, line.edge_count) == (4, 4)
-    k4 = Graph(4, list(combinations(range(4), 2)))
     with pytest.raises(ValueError, match="^the line graph has 12 edges, more than the limit of 4$"):
         k4.line_graph()
 
 
 @given(simple_graphs(), st.integers(0, 8))
 def test_line_graph_within_its_edge_budget_is_within_the_vertex_limit(g, extra):
-    # With both limits at k >= V: a line graph of E > k vertices would have
-    # sum C(d, 2) >= E * (2E/V - 1) > E > k edges, so the budget refuses it.
+    # With the limit at k >= V: Graph(...) keeps at most k edges, and a line
+    # graph's vertices are its base's edges, so every graph made is within k.
     k = g.vertex_count + extra
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mladder.graph, "MAX_VERTICES", k)
-        patch.setattr(mladder.graph, "MAX_EDGES", k)
+        patch.setattr(mladder.graph, "MAX_SIZE", k)
         try:
-            line = g.line_graph()
+            base = Graph(g.vertex_count, g.edges)
+            line = base.line_graph()
         except ValueError as refused:
-            assert re.fullmatch(rf"the line graph has \d+ edges, more than the limit of {k}",
+            assert re.fullmatch(rf"the (line )?graph has \d+ edges, more than the limit of {k}",
                                 str(refused))
         else:
-            assert line.vertex_count <= k
+            assert base.edge_count <= k and line.vertex_count <= k and line.edge_count <= k
 
 
 def test_edgelist_round_trip():

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import time
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -19,7 +21,7 @@ from mladder import (
     normalize_alpha,
     values_equal,
 )
-from mladder.indices import alpha_list, check_alpha_digits
+from mladder.indices import check_alpha_digits
 
 from conftest import cycle_graph, path_graph, star_graph
 
@@ -72,8 +74,14 @@ def test_normalize_alpha():
     assert normalize_alpha(0.5) == 0.5
     assert alpha_label(2.0) == "2"
     assert alpha_label(-0.5) == "-0.5"
-    assert alpha_list([2.0, 2, 0.5, 1.0]) == [2, 0.5, 1]
-    assert alpha_list([]) == [1]
+    # The producers key their Randic families by the normalized alphas, each
+    # once, first occurrence first; no alphas give none, the default gives 1.
+    g = path_graph(4)
+    r_alpha = indices_from_edges(g, [2.0, 2, 0.5, 1.0]).r_alpha
+    assert list(r_alpha) == [2, 0.5, 1]
+    assert [type(a) for a in r_alpha] == [int, float, int]
+    assert indices_from_edges(g, []).r_alpha == indices_from_edges(g, []).rr_alpha == {}
+    assert list(indices_from_edges(g).r_alpha) == [1]
 
 
 def test_edge_route_refuses_alphas_too_large_to_print():
@@ -114,6 +122,27 @@ def test_operator_route_bounds_rational_coefficients():
             assert str(value.numerator) and str(value.denominator)
         with pytest.raises(ValueError, match="too large for exact arithmetic"):
             indices_from_mpoly(p, [a + (1 if a > 0 else -1)])
+
+
+def test_alpha_refusals_name_a_digit_count_above_the_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    # 1905 * log10(180) + log10(840) + 1 is about 4300.2 digits, named as 4301.
+    from mladder import MPoly
+
+    p = MPoly({(3, 4): Fraction(7, 5), (2, 5): Fraction(-3, 8), (6, 6): 11})
+    with pytest.raises(ValueError, match="up to 4301 digits, over the limit of 4300 digits"):
+        indices_from_mpoly(p, [1905])
+    refused = 0
+    for base in (2, 3, 7, 12, 144, 180, 1000):
+        for terms in (1, 20, 840):
+            first = int((limit - 1 - math.log10(terms)) / math.log10(base))
+            for a in range(first - 2, first + 3):
+                try:
+                    check_alpha_digits([a, -a], base, terms)
+                except ValueError as error:
+                    assert int(re.search(r"up to (\d+) digits", str(error))[1]) > limit, error
+                    refused += 1
+    assert refused > 0
 
 
 def test_alpha_check_returns_the_normalized_alphas_in_order():

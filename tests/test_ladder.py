@@ -32,13 +32,12 @@ def test_edges_by_degree_pair():
 
 
 def test_edge_budget_refuses_what_the_vertex_limit_did(monkeypatch):
-    # A ladder has (m-1)*n <= (m-1)*(2n-1) vertices, so with both limits at k
+    # A ladder has (m-1)*n <= (m-1)*(2n-1) vertices, so with the limit at k
     # the edge budget alone refuses exactly the ladders refused when the
     # vertex count was checked too.
     for k in range(8 * 17 + 2):
-        monkeypatch.setattr(mladder.graph, "MAX_VERTICES", k)
-        monkeypatch.setattr(mladder.graph, "MAX_EDGES", k)
-        monkeypatch.setattr(mladder.ladder, "MAX_EDGES", k)
+        monkeypatch.setattr(mladder.graph, "MAX_SIZE", k)
+        monkeypatch.setattr(mladder.ladder, "MAX_SIZE", k)
         for m in range(4, 10):
             for n in range(2, 10):
                 old_rule = (m - 1) * n > k or (m - 1) * (2 * n - 1) > k
@@ -52,7 +51,7 @@ def test_edge_budget_refuses_what_the_vertex_limit_did(monkeypatch):
 
 def test_edge_limit_boundary(monkeypatch):
     # At a lowered limit: M_{5,4} has exactly 4*7 = 28 edges, M_{5,5} has 36.
-    monkeypatch.setattr(mladder.ladder, "MAX_EDGES", 28)
+    monkeypatch.setattr(mladder.ladder, "MAX_SIZE", 28)
     assert build_ladder(5, 4).edge_count == 28
     with pytest.raises(InvalidParams, match="36 edges, more than the limit of 28"):
         build_ladder(5, 5)

@@ -144,6 +144,22 @@ def test_duplicate_alphas_are_checked_once():
     assert report == verify_all(subjects=PROPS, m_range=(4, 4), n_range=(4, 4), alphas=(1,))
 
 
+def test_alphas_are_used_as_given():
+    def grid(alphas):
+        return verify_all(alphas, PROPS, (4, 4), (4, 5))
+
+    # Each normalized alpha once per subject and point: the cases of the
+    # deduplicated alphas.
+    report = grid([2.0, 2, 0.5, 1.0])
+    quantities = [c.quantity for c in report.cases if c.subject == "prop41" and c.n == 4]
+    assert [q for q in quantities if q.startswith("r_alpha")] == [
+        "r_alpha[0.5]", "r_alpha[1]", "r_alpha[2]"]  # the report sorts its cases
+    assert report == grid((2, 0.5, 1))
+    # No alphas give no Randic rows; a generator gives every point its alphas.
+    assert not any("alpha" in c.quantity for c in grid([]).cases)
+    assert grid(a for a in (1, 2)) == grid((1, 2))
+
+
 def test_rejects_unknown_subject():
     with pytest.raises(InvalidParams, match=r"unknown subject 'bogus'.*thm31, thm32, prop41, prop42"):
         verify_all(subjects=("bogus",))
