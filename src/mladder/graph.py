@@ -4,8 +4,9 @@ Vertices are the integers ``0 .. vertex_count-1``; edges are unordered
 pairs with no loops and no multiplicity (duplicates are rejected at
 construction, not merged).  A graph has at most :data:`MAX_SIZE` vertices
 and at most :data:`MAX_SIZE` edges.  On top of that sit the degree tally,
-the M-polynomial (edges tallied by their endpoint-degree pairs) and the
-line-graph transform.  The line
+the M-polynomial (edges tallied by their endpoint-degree pairs, in a table
+indexed by the ranks of the distinct degrees, O(E) since distinct positive
+degrees sum to at most ``2E``) and the line-graph transform.  The line
 graph's M-polynomial is also tallied without building it, once per
 distinct neighbour-degree profile of a vertex; only vertices with edges
 have one, so memory stays O(E).  Edge-list text in the canonical form
@@ -14,7 +15,8 @@ string scans, which keep no per-line state, and parsed in bulk, its ids
 read by the standard library's JSON number scanner; any other text, and
 canonical text with an id JSON refuses (a leading zero, or past
 ``int()``'s digit limit), goes through a per-line parser, which names the
-offending line.
+offending line.  Either way the header's counts are checked against the
+limit before any edge line is parsed.
 
 Each input is checked once, where it enters.  ``Graph(vertex_count,
 edges)`` is the constructor for edges from outside the program, a library
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from itertools import chain, combinations, groupby, islice, repeat, starmap
+from itertools import combinations, groupby, islice, repeat, starmap
 from math import comb
 from operator import eq, itemgetter, lt
 from typing import Iterable
@@ -67,6 +69,26 @@ def _is_canonical(text: str) -> bool:
     return (text.startswith("p ") and not text.startswith("p  ") and text.endswith("\n")
             and " \n" not in text and "\n " not in text
             and text.translate(_NO_DIGITS) == "p " + " \n" * text.count("\n"))
+
+
+def _header(line: str) -> tuple[int, int]:
+    """The vertex and edge counts that an edge list's header line declares.
+
+    Both are checked against :data:`MAX_SIZE` here, before any edge line is
+    parsed, so a list past the limit is refused at the cost of its header.
+    """
+    fields = line.split()
+    if len(fields) != 3 or fields[0] != "p":
+        raise ValueError(f"malformed header line {line!r}; expected 'p <vertices> <edges>'")
+    try:
+        vertex_count, edge_count = int(fields[1]), int(fields[2])
+    except ValueError:
+        raise ValueError(f"malformed header line {line!r}") from None
+    if vertex_count > MAX_SIZE:
+        raise ValueError(f"vertex_count {vertex_count} exceeds the limit of {MAX_SIZE}")
+    if edge_count > MAX_SIZE:
+        raise ValueError(f"the header declares {edge_count} edges, more than the limit of {MAX_SIZE}")
+    return vertex_count, edge_count
 
 
 class Graph:
@@ -106,10 +128,13 @@ class Graph:
         if any(map(eq, pairs, islice(pairs, 1, None))):
             u, v = next(a for a, b in zip(pairs, islice(pairs, 1, None)) if a == b)
             raise ValueError(f"parallel edge ({u}, {v})")
-        counts = Counter(chain.from_iterable(pairs))
+        degrees = [0] * vertex_count
+        for u, v in pairs:
+            degrees[u] += 1
+            degrees[v] += 1
         self._n = vertex_count
         self._edges: tuple[Edge, ...] = tuple(pairs)
-        self._degrees = tuple(map(counts.get, range(vertex_count), repeat(0)))
+        self._degrees = tuple(degrees)
 
     @classmethod
     def _assemble(cls, vertex_count: int, edges: tuple[Edge, ...],
@@ -147,11 +172,26 @@ class Graph:
         """Return the M-polynomial: one term ``m_ij * x^i y^j`` per degree pair.
 
         ``m_ij`` counts the edges whose endpoint degrees are ``i <= j``; the
-        coefficients sum to the number of edges.
+        coefficients sum to the number of edges.  Edges are counted in a
+        ``k x k`` table indexed by the ranks of the ``k`` distinct degrees,
+        so no pair is made or hashed per edge; ``(a, b)`` and ``(b, a)`` are
+        folded together when the table is read.  Distinct positive degrees
+        sum to at most ``2E``, so ``k <= 2 * sqrt(E) + 1`` and the table is
+        O(E).
         """
         d = self._degrees
-        pairs = ((d[u], d[v]) if d[u] <= d[v] else (d[v], d[u]) for u, v in self._edges)
-        return MPoly(Counter(pairs))
+        values = sorted(set(d))
+        rank = {x: k for k, x in enumerate(values)}
+        rows = [[0] * len(values) for _ in values]
+        for u, v in self._edges:
+            rows[rank[d[u]]][rank[d[v]]] += 1
+        counts = {}
+        for i, a in enumerate(values):
+            for j in range(i, len(values)):
+                c = rows[i][j] + rows[j][i] if j > i else rows[i][i]
+                if c:
+                    counts[a, values[j]] = c
+        return MPoly(counts)
 
     def line_m_polynomial(self) -> MPoly:
         """Return the M-polynomial of the line graph, without building it.
@@ -203,9 +243,15 @@ class Graph:
         for index, (u, v) in enumerate(self._edges):
             incident[u].append(index)
             incident[v].append(index)
-        # Each index list ascends, so every pair is (smaller, larger).
-        pairs = [pair for around in incident.values() for pair in combinations(around, 2)]
-        pairs.sort()
+        # Each index list ascends, so every pair is (smaller, larger).  The
+        # pairs (i, j) of edge i = (a, b), a < b, come from a, whose later
+        # edges (a, x) have x > b, and then from b, whose later edges (y, b)
+        # with y > a or (b, x) sort after all of those.  So with the vertices
+        # taken in ascending order, pairs with equal first elements already
+        # ascend in their second, and a stable sort on the first element
+        # alone leaves the pairs in lexicographic order.
+        pairs = [pair for w in sorted(incident) for pair in combinations(incident[w], 2)]
+        pairs.sort(key=itemgetter(0))
         d = self._degrees
         degrees = tuple(d[u] + d[v] - 2 for u, v in self._edges)
         return Graph._assemble(len(self._edges), tuple(pairs), degrees)
@@ -229,29 +275,26 @@ class Graph:
         missing final newline, a wrong edge count, an id with a leading
         zero or too long for ``int()`` -- goes through the per-line parser,
         which accepts what ``int()`` accepts on each field and names the
-        offending line.
+        offending line.  A header that declares more than :data:`MAX_SIZE`
+        vertices or edges is refused before any edge line is parsed.
         """
         if _is_canonical(text):
+            end = text.index("\n")
+            vertex_count, edge_count = _header(text[:end])
             try:
-                numbers = json.loads("[" + text[2:-1].translate(_TO_COMMAS) + "]")
+                numbers = json.loads("[" + text[end + 1:-1].translate(_TO_COMMAS) + "]")
             except ValueError:
                 # JSON refuses a leading zero, which the line parser accepts,
                 # and an id past int()'s digit limit, whose line it names.
                 pass
             else:
-                if len(numbers) == 2 * numbers[1] + 2:  # else the line parser reports the count
-                    ids = islice(numbers, 2, None)
-                    return cls(numbers[0], list(zip(ids, ids)))
+                if len(numbers) == 2 * edge_count:  # else the line parser reports the count
+                    ids = iter(numbers)
+                    return cls(vertex_count, list(zip(ids, ids)))
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("empty edge-list input")
-        header = lines[0].split()
-        if len(header) != 3 or header[0] != "p":
-            raise ValueError(f"malformed header line {lines[0]!r}; expected 'p <vertices> <edges>'")
-        try:
-            vertex_count, edge_count = int(header[1]), int(header[2])
-        except ValueError:
-            raise ValueError(f"malformed header line {lines[0]!r}") from None
+        vertex_count, edge_count = _header(lines[0])
         if len(lines) - 1 != edge_count:
             raise ValueError(f"header declares {edge_count} edges but {len(lines) - 1} lines follow")
         edges = []

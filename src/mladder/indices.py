@@ -1,12 +1,13 @@
 """Degree-based topological indices, computed two independent ways.
 
 :func:`indices_from_edges` evaluates the defining expressions over a
-graph's edges: it reads each edge's endpoint degrees once, tallies the
-degree pairs and degree products with integer counts, and sums each exact
-index in integers over one common denominator, building a single
-``Fraction`` per index.  :func:`indices_from_mpoly` recovers
-the same quantities from an M-polynomial through the degree-weight
-operator calculus.  The edge route tallies for itself and never touches
+graph's edges: it reads each edge's endpoint degrees once, counts the
+degree pairs in a table indexed by the ranks of the distinct degrees (O(E),
+since distinct positive degrees sum to at most ``2E``), tallies the degree
+products from it, and sums each exact index in integers over one common
+denominator, building a single ``Fraction`` per index.
+:func:`indices_from_mpoly` recovers the same quantities from an
+M-polynomial through the degree-weight operator calculus.  The edge route tallies for itself and never touches
 ``MPoly``, ``weight_by`` or ``Graph.m_polynomial``: the two routes share
 no code path, so their agreement on a graph and its M-polynomial is a
 meaningful cross-check rather than a tautology.
@@ -130,11 +131,14 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     Each edge's endpoint degrees are read once and tallied: degree pairs
     for M1 and SDD (both symmetric in the pair, so the order within a pair
     does not matter), products ``p = d_u * d_v`` for M2, MM2 and the Randic
-    families.  Each exact index is then one integer sum over the tallies,
-    made a ``Fraction`` once at the end over a common denominator: ``den``,
-    the lcm of the products, for MM2 and SDD, and ``den ** |alpha|`` for
-    the reciprocal side of an integer alpha (RR_alpha, or R_alpha when
-    alpha is negative).  An integer alpha is first refused by
+    families.  The pairs are counted in a ``k x k`` table indexed by the
+    ranks of the ``k`` distinct degrees, so nothing is made or hashed per
+    edge; distinct positive degrees sum to at most ``2E``, so ``k <= 2 *
+    sqrt(E) + 1`` and the table is O(E).  Each exact index is then one
+    integer sum over the tallies, made a ``Fraction`` once at the end over
+    a common denominator: ``den``, the lcm of the products, for MM2 and
+    SDD, and ``den ** |alpha|`` for the reciprocal side of an integer alpha
+    (RR_alpha, or R_alpha when alpha is negative).  An integer alpha is first refused by
     :func:`check_alpha_digits` when its values would be too long to print:
     every product, and so ``den``, divides the square of the lcm of the
     degrees, which bounds ``p ** |alpha|`` and ``den ** |alpha|`` alike,
@@ -144,8 +148,13 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     product.
     """
     d = g.degrees()
-    alphas = check_alpha_digits(alphas, math.lcm(*filter(None, set(d))) ** 2, g.edge_count)
-    degree_pairs = Counter((d[u], d[v]) for u, v in g.edges)
+    values = sorted(set(d))
+    alphas = check_alpha_digits(alphas, math.lcm(*filter(None, values)) ** 2, g.edge_count)
+    rank = {x: k for k, x in enumerate(values)}
+    rows = [[0] * len(values) for _ in values]
+    for u, v in g.edges:
+        rows[rank[d[u]]][rank[d[v]]] += 1
+    degree_pairs = {(du, dv): c for du, row in zip(values, rows) for dv, c in zip(values, row) if c}
     product_counts: Counter = Counter()
     for (du, dv), c in degree_pairs.items():
         product_counts[du * dv] += c

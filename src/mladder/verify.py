@@ -259,10 +259,10 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
                         line = ladder.line_graph()
                     g = line
                 rows = _rows(claim, m, n, g, alphas)
+            # Positional: keyword construction of the NamedTuple costs twice the time.
             cases.extend(
-                CaseResult(m=m, n=n, subject=subject, quantity=quantity,
-                           computed=got, closed_form=want,
-                           verdict="out-of-domain" if got is None
+                CaseResult(m, n, subject, quantity, got, want,
+                           "out-of-domain" if got is None
                            else "match" if values_equal(got, want) else "mismatch")
                 for quantity, got, want in rows
             )

@@ -272,7 +272,7 @@ def test_edge_list_past_the_edge_limit_exit_2(tmp_path, monkeypatch, capsys):
         assert main(["mpoly", "--from-file", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            "mladder mpoly: error: the graph has 10 edges, more than the limit of 9\n")
+            "mladder mpoly: error: the header declares 10 edges, more than the limit of 9\n")
 
 
 def test_invalid_params_exit_2(capsys):

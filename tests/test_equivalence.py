@@ -1,10 +1,14 @@
 """Fast routes against the plain ones they replaced.
 
-``indices_from_edges`` tallies degree pairs and sums each exact index in
-integers over one common denominator, and ``Graph.__init__`` checks its
-edges in bulk on a sorted list.  The references below are the plain
-per-edge loops those replaced; both versions must give the same values
-and accept and reject the same edge lists.  Exact values must be equal;
+``Graph.m_polynomial`` and ``indices_from_edges`` count each edge's
+degree pair in a table indexed by the ranks of the distinct degrees, which
+is O(E) since distinct positive degrees sum to at most ``2E``; the
+references are the per-edge tuple-keyed tallies they replaced.
+``indices_from_edges`` then sums each exact index in integers over one
+common denominator, and ``Graph.__init__`` checks its edges in bulk on a
+sorted list.  The references below are the plain per-edge loops those
+replaced; both versions must give the same values and accept and reject
+the same edge lists.  Exact values must be equal;
 a float value for non-integer alpha must lie within 2 ulp of the
 reference, the correctly rounded sum of one term per edge.  The edge
 route sums one term ``c * p ** alpha`` per distinct degree product ``p``
@@ -63,6 +67,12 @@ def reference_indices(g, alphas):
             r[alpha] = math.fsum((d[u] * d[v]) ** alpha for u, v in g.edges)
             rr[alpha] = math.fsum((d[u] * d[v]) ** -alpha for u, v in g.edges)
     return m1, m2, mm2, sdd, r, rr
+
+
+def reference_mpoly(g):
+    """One ``(smaller, larger)`` degree pair per edge, tallied in a ``Counter``."""
+    d = g.degrees()
+    return MPoly(Counter((d[u], d[v]) if d[u] <= d[v] else (d[v], d[u]) for u, v in g.edges))
 
 
 def reference_graph(vertex_count, edges):
@@ -156,6 +166,37 @@ def test_edge_sum_matches_reference_on_corpus():
         assert_same_indices(g, ALPHAS)
 
 
+def test_mpoly_matches_reference_on_corpus():
+    for g in corpus():
+        assert g.m_polynomial() == reference_mpoly(g)
+
+
+def staircase_graph(k):
+    """Vertices ``0 .. k-1``, with ``i < j`` adjacent iff ``i + j >= k``: nested
+    neighbourhoods, so vertex ``i`` has degree ``i`` or ``i - 1``, and the degrees
+    are ``0 .. k-2``, each distinct one a row and a column of the rank table."""
+    return Graph(k, [(i, j) for j in range(k) for i in range(max(k - j, 0), j)])
+
+
+STAIRCASE = staircase_graph(203)
+
+
+def test_staircase_has_many_distinct_degrees():
+    assert len(set(STAIRCASE.degrees())) == 202
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0),
+    Graph(5),
+    Graph(9, path_graph(6).edges),
+    Graph(10**6, [(0, 1), (1, 2), (2, 3)]),
+    STAIRCASE,
+], ids=["empty", "isolated-only", "path-with-isolated", "few-edges-many-vertices", "staircase"])
+def test_tallies_match_reference_edge_cases(g):
+    assert g.m_polynomial() == reference_mpoly(g)
+    assert_same_indices(g, (-1, 0, 1, 2, 0.5))
+
+
 @pytest.mark.parametrize("g", [
     hub_graph(seed=2015),
     hub_graph(seed=2015, vertices=400, background_edges=600, hubs=3, hub_degree=40).line_graph(),
@@ -176,6 +217,23 @@ def simple_graphs(draw):
 @given(simple_graphs(), st.lists(st.integers(-4, 4) | st.floats(-3, 3), min_size=1, max_size=4))
 def test_edge_sum_matches_reference(g, alphas):
     assert_same_indices(g, alphas)
+
+
+@given(simple_graphs())
+def test_mpoly_matches_reference(g):
+    assert g.m_polynomial() == reference_mpoly(g)
+
+
+def test_degree_pair_tallies_memory_does_not_grow_with_vertex_count():
+    g = Graph(10**6, [(0, 1), (1, 2), (2, 3)])
+    tracemalloc.start()
+    try:
+        assert g.m_polynomial() == MPoly({(1, 2): 2, (2, 2): 1})
+        assert indices_from_edges(g).m1 == 10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024  # one byte per vertex would already be 1e6 bytes
 
 
 def test_line_mpoly_matches_line_graph_on_corpus():

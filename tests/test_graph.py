@@ -65,14 +65,29 @@ def test_edge_count_limit_boundary(monkeypatch):
 
 def test_edge_lists_past_the_edge_limit_are_refused(monkeypatch):
     # Canonical text, parsed in bulk, and messy text (CRLF, + ids), parsed
-    # line by line, reach the same check in Graph(...).
+    # line by line, reach the same check of the header.
     canonical = Graph(5, list(combinations(range(5), 2))).to_edgelist()
     header, *lines = canonical.splitlines()
     messy = "\r\n".join([header] + ["+" + line for line in lines])
     monkeypatch.setattr(mladder.graph, "MAX_SIZE", 9)
     for text in (canonical, messy):
-        with pytest.raises(ValueError, match="^the graph has 10 edges, more than the limit of 9$"):
+        with pytest.raises(ValueError, match="^the header declares 10 edges, more than the limit of 9$"):
             Graph.from_edgelist(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("p 5 10\n0 1\n", "the header declares 10 edges, more than the limit of 9"),
+    ("p 5 10\nx y\n", "the header declares 10 edges, more than the limit of 9"),
+    ("p 5 10\r\n0 1 2\r\n", "the header declares 10 edges, more than the limit of 9"),
+    ("p 10 1\n00 1\n", "vertex_count 10 exceeds the limit of 9"),
+    ("\n p 10 1\nx\n", "vertex_count 10 exceeds the limit of 9"),
+], ids=["canonical-short", "bad-ids", "crlf-bad-line", "leading-zero-id", "blank-first-line"])
+def test_edge_list_header_past_the_limit_is_refused_before_its_body(monkeypatch, text, message):
+    # Each body would fail on its own (too few lines, or a malformed edge
+    # line), so the limit is checked before any edge line is parsed.
+    monkeypatch.setattr(mladder.graph, "MAX_SIZE", 9)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph.from_edgelist(text)
 
 
 def test_line_graph_of_path():
@@ -87,6 +102,17 @@ def test_line_graph_of_star():
     line = star_graph(4).line_graph()
     assert line.vertex_count == 4
     assert line.edge_count == comb(4, 2)
+
+
+def test_line_graph_of_vertices_met_out_of_order():
+    # Vertex 5 is met in the first edge, before 2.  Edge 1 = (2, 5) pairs with
+    # edge 2 at vertex 2 and with edge 3 at vertex 5, so taking the vertices in
+    # the order they are met would put (1, 3) before (1, 2).
+    g = Graph(7, [(0, 5), (2, 5), (2, 6), (3, 5)])
+    line = g.line_graph()
+    assert line == Graph(4, [(0, 1), (0, 3), (1, 2), (1, 3)])
+    assert all(a < b for a, b in zip(line.edges, line.edges[1:]))
+    assert_matches_validating_constructor(line)
 
 
 def test_line_graph_edge_limit_boundary(monkeypatch):
