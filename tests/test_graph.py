@@ -79,7 +79,7 @@ def test_edge_lists_past_the_edge_limit_are_refused(monkeypatch):
     ("p 5 10\n0 1\n", "the header declares 10 edges, more than the limit of 9"),
     ("p 5 10\nx y\n", "the header declares 10 edges, more than the limit of 9"),
     ("p 5 10\r\n0 1 2\r\n", "the header declares 10 edges, more than the limit of 9"),
-    ("p 10 1\n00 1\n", "vertex_count 10 exceeds the limit of 9"),
+    ("p 10 2\n00 1\n", "vertex_count 10 exceeds the limit of 9"),
     ("\n p 10 1\nx\n", "vertex_count 10 exceeds the limit of 9"),
 ], ids=["canonical-short", "bad-ids", "crlf-bad-line", "leading-zero-id", "blank-first-line"])
 def test_edge_list_header_past_the_limit_is_refused_before_its_body(monkeypatch, text, message):
