@@ -47,7 +47,7 @@ class MPoly:
     def __init__(self, terms: Mapping[tuple[int, int], Coefficient] = {}):  # the default is only read
         for key in terms:
             i, j = key
-            if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
+            if not (type(i) is int and type(j) is int) or i < 0 or j < 0:  # type(), so bools are refused
                 raise ValueError(f"exponents must be non-negative integers, got {key!r}")
         self._terms = {key: c for key in sorted(terms) if (c := _as_fraction(terms[key])) != 0}
 

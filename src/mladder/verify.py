@@ -128,7 +128,8 @@ class VerificationReport(NamedTuple):
                 f"  {subject}: {counts['match']} match, {counts['mismatch']} mismatch, "
                 f"{counts['out-of-domain']} out-of-domain"
             )
-        return "\n".join(lines) + "\n"
+        lines.append("")  # ends the text with a newline without copying it
+        return "\n".join(lines)
 
 
 def values_equal(a: Real, b: Real) -> bool:

@@ -16,11 +16,13 @@ instead, which rounds each term once more.
 ``Graph.line_m_polynomial`` tallies the line graph's
 M-polynomial from the degree-transfer law once per neighbour-degree
 profile; it must equal both the per-vertex tally it replaced and the
-M-polynomial of the materialized line graph.  ``Graph.from_edgelist`` parses
-canonical text in bulk; it must give the same graph or the same error
-message as the per-line parser alone, and its string-scan test for
-canonical text must accept exactly what the regular expression it replaced
-accepts.  ``VerificationReport.to_json``
+M-polynomial of the materialized line graph.  ``Graph.from_edgelist`` finds
+the header without splitting the text into lines, whatever its line ends,
+and parses a body in bulk when its digits and blanks are laid out as the
+header's edge count says a canonical body's are; it must give the same
+graph or the same error message as the per-line parser alone, on canonical
+text, on near misses of it and on every line end ``str.splitlines`` knows.
+``VerificationReport.to_json``
 lays its records out from a template; it must give the very bytes of
 ``json.dumps(records, indent=2)``, which it replaced.
 """
@@ -28,7 +30,6 @@ lays its records out from a template; it must give the very bytes of
 import json
 import math
 import random
-import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -38,7 +39,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mladder import Graph, MPoly, indices_from_edges, normalize_alpha, verify_all
-from mladder.graph import _is_canonical
 from mladder.verify import CaseResult, VerificationReport, json_value
 
 from conftest import path_graph, star_graph
@@ -438,8 +438,47 @@ def edgelist_texts():
     return messy_edgelist_texts() | zero_padded_edgelist_texts()
 
 
-@given(simple_graphs().map(Graph.to_edgelist) | edgelist_texts())
+@st.composite
+def near_canonical_texts(draw):
+    """Canonical text with a character or two inserted, deleted or replaced:
+    the near misses that tell the bulk path's test for the form from a
+    looser one."""
+    text = draw(simple_graphs()).to_edgelist()
+    for _ in range(draw(st.integers(1, 2))):
+        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 1))
+        put = draw(st.sampled_from(["0", "7", " ", "\n", "p", "\r", "\t", "+", "\u0663"]) | st.just(""))
+        text = text[:at] + put + text[at + cut:]
+    return text
+
+
+@settings(max_examples=300)
+@given(simple_graphs().map(Graph.to_edgelist) | edgelist_texts() | near_canonical_texts())
 def test_edgelist_parses_like_per_line(text):
+    assert_parses_like_per_line(text)
+
+
+# Every line end str.splitlines() knows, "\r\n" being one of them.
+LINE_ENDS = ["\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def line_end_texts(draw):
+    """A graph's text with blank lines and blanks before its header, which may
+    be malformed, a line end drawn for the header and one drawn once for
+    every later line.  U+001F and U+00A0 are blanks that end no line."""
+    header, *body = draw(simple_graphs()).to_edgelist().splitlines()
+    end = st.sampled_from(LINE_ENDS)
+    blank = st.sampled_from([" ", "\t", "\x1f", "\xa0"])
+    lead = "".join(draw(st.lists(blank | end, max_size=5)))
+    header += draw(st.sampled_from(["", " 0", "x"]))
+    body_end = draw(end)
+    text = lead + header + draw(end) + body_end.join(body)
+    return text + draw(st.sampled_from([body_end, ""])) if body else text
+
+
+@settings(max_examples=300)
+@given(line_end_texts())
+def test_any_line_ends_parse_like_per_line(text):
     assert_parses_like_per_line(text)
 
 
@@ -456,63 +495,33 @@ PARSER_CASES = [
     f"p 3 {HUGE_ID}\n0 1\n",
     "p 3 2\n0 1\n",
     "p 3 1\n0 1\n1 2\n",
+    "\n\n  \np 3 2\n0 1\n1 2\n",
+    " \tp 3 2\n0 1\n1 2\n",
+    "\n 2 0\n",
+    "p 3 2\r0 1\r1 2\r",
+    "p 3 2\f0 1\f1 2\f",
+    "p 3 2\x1c0 1\x1c1 2\x1c",
+    "p 3 2\x850 1\x851 2\x85",
+    "p 3 2\u20280 1\u20281 2\u2028",
+    "p 3 2\r\n0 1\n1 2\n",
+    "p 2 0\n0",
+    "p 2 0",
+    "p 2 1\n 1\n",
+    "p 2 1\n1 \n",
+    "p 4 2\n0\n1 2 3\n",
 ]
 PARSER_CASE_IDS = ["crlf", "blank-lines", "tab", "plus-sign", "underscore", "leading-zeros",
                    "negative-id", "no-final-newline", "5000-digit-id", "5000-digit-count",
-                   "too-few-edges", "too-many-edges"]
+                   "too-few-edges", "too-many-edges", "blank-lines-before-header",
+                   "indented-header", "indented-malformed-header", "cr", "form-feed",
+                   "file-separator", "next-line", "line-separator", "crlf-header-lf-body",
+                   "digit-after-empty-body", "header-only", "empty-first-id", "empty-second-id",
+                   "ids-across-lines"]
 
 
 @pytest.mark.parametrize("text", PARSER_CASES, ids=PARSER_CASE_IDS)
 def test_edgelist_cases_parse_like_per_line(text):
     assert_parses_like_per_line(text)
-
-
-# The canonical form as the regular expression that tested for it before
-# the string scans: ASCII digits only ([0-9], not \d, which also matches
-# other scripts' digits), single spaces, LF after every line.
-CANONICAL = re.compile(r"p [0-9]+ [0-9]+\n(?:[0-9]+ [0-9]+\n)*")
-
-
-@st.composite
-def near_canonical_texts(draw):
-    """Canonical text with a character or two inserted, deleted or replaced:
-    the near misses that tell a test for the form from a looser one."""
-    text = draw(simple_graphs()).to_edgelist()
-    for _ in range(draw(st.integers(1, 2))):
-        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 1))
-        put = draw(st.sampled_from(["0", "7", " ", "\n", "p", "\r", "\t", "+", "\u0663"]) | st.just(""))
-        text = text[:at] + put + text[at + cut:]
-    return text
-
-
-@settings(max_examples=300)
-@given(simple_graphs().map(Graph.to_edgelist) | edgelist_texts() | near_canonical_texts())
-def test_canonical_check_matches_the_regex(text):
-    assert _is_canonical(text) is (CANONICAL.fullmatch(text) is not None)
-
-
-# One near miss for each of the check's tests: an empty id after "p", ids
-# glued to the "p", digits after the last line end, an empty id at a line's
-# start or end, two blanks, CR, another script's digit.
-NEAR_MISSES = ["p  2\n", "p5 1 2\n", "p 1 2\n7", "p 1 2\n 0\n", "p 1 2\n0 \n", "p 1 2\n0  1\n",
-               "p 1 2\r\n", "p 1 \u0663\n"]
-
-
-@pytest.mark.parametrize("text", PARSER_CASES + NEAR_MISSES)
-def test_canonical_check_cases_match_the_regex(text):
-    assert _is_canonical(text) is (CANONICAL.fullmatch(text) is not None)
-
-
-def test_canonical_check_memory_does_not_grow_per_line():
-    # The regex saves a backtracking frame per line: about 17 times the text.
-    text = Graph(100_001, [(k, k + 1) for k in range(100_000)]).to_edgelist()
-    tracemalloc.start()
-    try:
-        assert _is_canonical(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * len(text)
 
 
 def test_bool_vertex_ids_are_rejected():

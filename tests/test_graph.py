@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -88,6 +89,23 @@ def test_edge_list_header_past_the_limit_is_refused_before_its_body(monkeypatch,
     monkeypatch.setattr(mladder.graph, "MAX_SIZE", 9)
     with pytest.raises(ValueError, match=f"^{message}$"):
         Graph.from_edgelist(text)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_edge_list_header_past_the_limit_costs_no_memory_per_line(monkeypatch, end):
+    # Splitting these 500,000 lines would take about 33 MiB: the header alone
+    # is read before the refusal, whatever the line ends.
+    text = f"p 3 500000{end}" + f"0 1{end}" * 500_000
+    monkeypatch.setattr(mladder.graph, "MAX_SIZE", 50_000)
+    message = "^the header declares 500000 edges, more than the limit of 50000$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edgelist(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_line_graph_of_path():

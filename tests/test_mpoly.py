@@ -26,6 +26,9 @@ def test_rejects_bad_exponents():
         MPoly({(-1, 2): 1})
     with pytest.raises(ValueError):
         MPoly({(1.5, 2): 1})
+    for key in ((True, 2), (1, False)):
+        with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+            MPoly({key: 1})
 
 
 def test_addition_merges_terms():
