@@ -11,9 +11,10 @@ All output is deterministic: identical invocations produce byte-identical
 bytes.  Exit status: 0 success, 2 invalid parameters, 3 when a verify run
 finds mismatches in a theorem subject (proposition mismatches are expected
 findings and leave the status at 0), 1 on I/O failure.  An ``--out`` path
-that names a directory, or whose parent is missing or not a directory, is
-reported before the command runs, so it exits 1 even when the parameters
-are invalid too.
+that is empty or names a directory, or whose parent is missing or not a
+directory, is reported before the command runs, so it exits 1 even when the
+parameters are invalid too.  An empty ``--out`` or ``--from-file`` path is a
+path that cannot be opened, never a stand-in for stdout.
 
 :func:`main` runs one command and returns its status, for callers in
 process; :func:`run`, the console script and ``python -m mladder.cli``, also
@@ -181,12 +182,14 @@ def _cmd_verify(args, parser) -> tuple[list[str], int]:
 
 def _check_out(path: str) -> None:
     """Raise the error that opening ``path`` for writing would raise when it
-    names a directory or its parent cannot be reached as a directory.
+    is empty, names a directory or its parent cannot be reached as a directory.
 
     Only ``stat`` is called: nothing is opened, created or truncated, so a
     FIFO at ``path`` is opened once, by the write after the command.
     """
-    if path.endswith(os.sep) or os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif path.endswith(os.sep) or os.path.isdir(path):
         code = errno.EISDIR
     else:
         try:
@@ -215,11 +218,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         try:
-            if args.out:
+            if args.out is not None:
                 _check_out(args.out)
             pieces, status = COMMANDS[args.command](args, parser)
             # --out is opened only now, so a failed command leaves it untouched.
-            with open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as fh:
+            with open(args.out, "wb") if args.out is not None else nullcontext(sys.stdout.buffer) as fh:
                 for text in pieces:
                     # Under PYTHONUNBUFFERED=1 stdout is a raw stream, and a raw write
                     # may take only part of its bytes; write until all are taken.
@@ -237,7 +240,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   "use a smaller |alpha|", file=sys.stderr)
             return 2
         except OSError as exc:
-            path = exc.filename or args.out or "<stdout>"
+            # An empty path is a path too: it names itself, not stdout.
+            path = next(name for name in (exc.filename, args.out, "<stdout>") if name is not None)
             print(f"{PROG} {args.command}: error: {path}: {exc.strerror or exc}", file=sys.stderr)
             return 1
         return status

@@ -286,9 +286,9 @@ class Graph:
                 # and an id past int()'s digit limit, whose line it names.
                 pass
             else:
-                if len(numbers) == 2 * edge_count:  # so that zip pairs every id
-                    ids = iter(numbers)
-                    return cls(vertex_count, list(zip(ids, ids)))
+                # JSON took 2E - 1 commas, each between two ids: 2E ids, so zip pairs every one.
+                ids = iter(numbers)
+                return cls(vertex_count, list(zip(ids, ids)))
         lines = [line for line in text[rest:].splitlines() if line.strip()]
         if len(lines) != edge_count:
             raise ValueError(f"header declares {edge_count} edges but {len(lines)} lines follow")

@@ -7,17 +7,24 @@ since distinct positive degrees sum to at most ``2E``), tallies the degree
 products from it, and sums each exact index in integers over one common
 denominator, building a single ``Fraction`` per index.
 :func:`indices_from_mpoly` recovers the same quantities from an
-M-polynomial through the degree-weight operator calculus.  The edge route tallies for itself and never touches
-``MPoly``, ``weight_by`` or ``Graph.m_polynomial``: the two routes share
-no code path, so their agreement on a graph and its M-polynomial is a
-meaningful cross-check rather than a tautology.
+M-polynomial through the degree-weight operator calculus.  The edge route
+tallies for itself and never touches ``MPoly``, ``weight_by`` or
+``Graph.m_polynomial``: the two routes share no code path, so their
+agreement on a graph and its M-polynomial is a meaningful cross-check
+rather than a tautology.
 
 First Zagreb      M1  = sum (d_u + d_v)
 Second Zagreb     M2  = sum d_u * d_v
 Modified second   MM2 = sum 1 / (d_u * d_v)
 Generalized Randic          R_a  = sum (d_u * d_v)^a
-Reciprocal generalized      RR_a = sum (d_u * d_v)^-a   (i.e. RR_a = R_-a)
+Reciprocal generalized      RR_a = sum (d_u * d_v)^-a
 Symmetric division          SDD  = sum (min/max + max/min)
+
+So M2 = R_1, MM2 = R_-1 and RR_a = R_-a, and each route reads all four
+from one local rule ``R(a)``, the only place it raises anything to an
+alpha power and the only place it chooses between exact and float values.
+M1 and SDD are sums of evaluated operators (``D_x + D_y`` and ``D_x S_y +
+S_x D_y`` at x = y = 1, which is linear), or of the same terms over edges.
 
 Integer alpha is computed exactly in rational arithmetic; non-integer
 alpha in double precision, each route taking the correctly rounded sum of
@@ -136,9 +143,9 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     edge; distinct positive degrees sum to at most ``2E``, so ``k <= 2 *
     sqrt(E) + 1`` and the table is O(E).  Each exact index is then one
     integer sum over the tallies, made a ``Fraction`` once at the end over
-    a common denominator: ``den``, the lcm of the products, for MM2 and
-    SDD, and ``den ** |alpha|`` for the reciprocal side of an integer alpha
-    (RR_alpha, or R_alpha when alpha is negative).  An integer alpha is first refused by
+    a common denominator: ``den``, the lcm of the products, for SDD, and
+    ``den ** -a`` for ``R(a)`` at a negative integer ``a`` (MM2 = R(-1),
+    and RR_alpha = R(-alpha)).  An integer alpha is first refused by
     :func:`check_alpha_digits` when its values would be too long to print:
     every product, and so ``den``, divides the square of the lcm of the
     degrees, which bounds ``p ** |alpha|`` and ``den ** |alpha|`` alike,
@@ -159,33 +166,31 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     for (du, dv), c in degree_pairs.items():
         product_counts[du * dv] += c
     den = math.lcm(*product_counts)
+
+    def R(a: Alpha) -> Real:
+        """R_a over the product tally: exact for integer a, a negative one over
+        ``den ** -a``; otherwise the correctly rounded sum of float terms."""
+        if not isinstance(a, int):
+            return math.fsum(c * p ** a for p, c in product_counts.items())
+        if a >= 0:
+            return Fraction(sum(c * p ** a for p, c in product_counts.items()))
+        return Fraction(sum(c * (den // p) ** -a for p, c in product_counts.items()), den ** -a)
+
     m1 = Fraction(sum(c * (du + dv) for (du, dv), c in degree_pairs.items()))
-    m2 = Fraction(sum(c * p for p, c in product_counts.items()))
-    mm2 = Fraction(sum(c * (den // p) for p, c in product_counts.items()), den)
     sdd = Fraction(sum(c * (du * du + dv * dv) * (den // (du * dv))
                        for (du, dv), c in degree_pairs.items()), den)
-    r: dict[Alpha, Real] = {}
-    rr: dict[Alpha, Real] = {}
-    for alpha in alphas:
-        if isinstance(alpha, int):
-            k = abs(alpha)
-            up = Fraction(sum(c * p ** k for p, c in product_counts.items()))
-            down = Fraction(sum(c * (den // p) ** k for p, c in product_counts.items()), den ** k)
-            r[alpha], rr[alpha] = (up, down) if alpha >= 0 else (down, up)
-        else:
-            r[alpha] = math.fsum(c * p ** alpha for p, c in product_counts.items())
-            rr[alpha] = math.fsum(c * p ** -alpha for p, c in product_counts.items())
-    return IndexSet(m1=m1, m2=m2, mm2=mm2, sdd=sdd, r_alpha=r, rr_alpha=rr)
+    return IndexSet(m1, R(1), R(-1), sdd, {a: R(a) for a in alphas}, {a: R(-a) for a in alphas})
 
 
 def indices_from_mpoly(p: MPoly, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     """Recover all indices from an M-polynomial via the operator calculus.
 
-    M1 applies the two derivative weights and sums; M2/MM2 apply the
-    combined weight ``(1, 1)`` / ``(-1, -1)``; SDD the mixed weights
-    ``(1, -1) + (-1, 1)``; integer alpha the weight ``(a, a)`` or its
-    negative.  Non-integer alpha falls back to float summation over the
-    terms, keeping the polynomial core exact: the correctly rounded sum
+    ``R(a)`` evaluates the combined weight ``(a, a)`` at x = y = 1, so M2
+    is ``R(1)``, MM2 ``R(-1)``, R_alpha ``R(alpha)`` and RR_alpha
+    ``R(-alpha)``.  M1 is the sum of the two evaluated derivative weights
+    ``(1, 0)`` and ``(0, 1)``, SDD that of the mixed weights ``(1, -1)``
+    and ``(-1, 1)``.  Non-integer alpha falls back to float summation over
+    the terms, keeping the polynomial core exact: the correctly rounded sum
     (``math.fsum``) of one rounded term per ``(i, j)``.  Every term must
     have both exponents >= 1 (true of any graph's M-polynomial); otherwise
     the negative weights raise ``ZeroExponentWeight``.  An integer alpha
@@ -200,17 +205,15 @@ def indices_from_mpoly(p: MPoly, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     den = math.lcm(*(c.denominator for c in terms.values()))
     alphas = check_alpha_digits(alphas, math.lcm(*filter(None, (i * j for i, j in terms))),
                                 den * sum(abs(c.numerator) for c in terms.values()))
-    m1 = (p.weight_by(1, 0) + p.weight_by(0, 1)).eval_at_one()
-    m2 = p.weight_by(1, 1).eval_at_one()
-    mm2 = p.weight_by(-1, -1).eval_at_one()
-    sdd = (p.weight_by(1, -1) + p.weight_by(-1, 1)).eval_at_one()
-    r: dict[Alpha, Real] = {}
-    rr: dict[Alpha, Real] = {}
-    for alpha in alphas:
-        if isinstance(alpha, int):
-            r[alpha] = p.weight_by(alpha, alpha).eval_at_one()
-            rr[alpha] = p.weight_by(-alpha, -alpha).eval_at_one()
-        else:
-            r[alpha] = math.fsum(float(c) * (i * j) ** alpha for (i, j), c in terms.items())
-            rr[alpha] = math.fsum(float(c) * (i * j) ** -alpha for (i, j), c in terms.items())
-    return IndexSet(m1=m1, m2=m2, mm2=mm2, sdd=sdd, r_alpha=r, rr_alpha=rr)
+
+    def R(a: Alpha) -> Real:
+        """R_a: the weight ``(a, a)`` at x = y = 1 for integer a; otherwise
+        the correctly rounded sum of one float term per ``(i, j)``."""
+        if isinstance(a, int):
+            return p.weight_by(a, a).eval_at_one()
+        return math.fsum(float(c) * (i * j) ** a for (i, j), c in terms.items())
+
+    m1 = p.weight_by(1, 0).eval_at_one() + p.weight_by(0, 1).eval_at_one()
+    m2, mm2 = R(1), R(-1)
+    sdd = p.weight_by(1, -1).eval_at_one() + p.weight_by(-1, 1).eval_at_one()
+    return IndexSet(m1, m2, mm2, sdd, {a: R(a) for a in alphas}, {a: R(-a) for a in alphas})

@@ -2,12 +2,12 @@
 
 An :class:`MPoly` is a finite mapping from exponent pairs ``(i, j)`` to
 nonzero ``fractions.Fraction`` coefficients, representing
-``sum c_ij * x^i * y^j``.  Besides addition, the only arithmetic needed by
-the index machinery is the termwise degree weighting
-``x^i y^j -> i^a * j^b * x^i y^j``, which realises the derivative-style
-operators (positive ``a``/``b``) and their integral-style inverses
-(negative ``a``/``b``) used to pull degree-based indices out of an
-M-polynomial.  All arithmetic is exact.
+``sum c_ij * x^i * y^j``.  The only arithmetic the index machinery needs
+is the termwise degree weighting ``x^i y^j -> i^a * j^b * x^i y^j``, which
+realises the derivative-style operators (positive ``a``/``b``) and their
+integral-style inverses (negative ``a``/``b``) used to pull degree-based
+indices out of an M-polynomial, and evaluation at ``x = y = 1``.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self._terms == other._terms
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, coefficient in other._terms.items():
-            acc[key] = acc.get(key, Fraction(0)) + coefficient
-        return MPoly(acc)
 
     def weight_by(self, a: int, b: int) -> "MPoly":
         """Multiply each term's coefficient by ``i^a * j^b``, exactly.

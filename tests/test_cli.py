@@ -177,6 +177,18 @@ def test_bad_out_takes_precedence_over_bad_params(tmp_path, capsys, argv):
     assert capsys.readouterr().err == f"mladder gen: error: {out}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("argv", [["gen", "--m", "4", "--n", "2"], ["gen", "--m", "3", "--n", "3"],
+                                  ["gen", "--m", "5"]],
+                         ids=["valid-params", "invalid-params", "missing-params"])
+def test_empty_out_exit_1(capsys, argv):
+    # An empty --out is a path that cannot be opened, not stdout, and is
+    # refused before the command checks its parameters.
+    assert main([*argv, "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mladder gen: error: : No such file or directory\n"
+
+
 def test_unwritable_out_fails_before_the_command(tmp_path, monkeypatch, capsys):
     def build_ladder(m, n):
         raise AssertionError("the command ran")
@@ -292,6 +304,17 @@ def test_input_read_error_names_the_input(tmp_path, monkeypatch, capsys, out):
     monkeypatch.chdir(tmp_path)
     assert main(["mpoly", "--from-file", "/proc/self/mem", *out]) == 1
     assert capsys.readouterr().err.startswith("mladder mpoly: error: /proc/self/mem: ")
+    assert not (tmp_path / "never-written.txt").exists()
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "never-written.txt"]])
+def test_empty_input_path_names_itself(tmp_path, monkeypatch, capsys, out):
+    # The error names the empty input path, neither <stdout> nor the --out path.
+    monkeypatch.chdir(tmp_path)
+    assert main(["mpoly", "--from-file", "", *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mladder mpoly: error: : No such file or directory\n"
     assert not (tmp_path / "never-written.txt").exists()
 
 
@@ -533,8 +556,8 @@ FORMATS = {"gen": ["edgelist", "json"], "line": ["edgelist", "json"], "mpoly": [
 @st.composite
 def argvs(draw, tmp):
     """Argv of a real subcommand and its real flags, every size small: a
-    ladder of m, n <= 12, a grid inside 4:8 x 2:8, the fixture or a missing
-    file, and --out under ``tmp``."""
+    ladder of m, n <= 12, a grid inside 4:8 x 2:8, the fixture, a missing
+    file or an empty path, and --out under ``tmp`` or empty."""
     command = draw(st.sampled_from(sorted(FORMATS)))
     argv = [command]
 
@@ -554,13 +577,13 @@ def argvs(draw, tmp):
     if command in ("mpoly", "indices"):
         if draw(st.booleans()):
             argv.append("--line")
-        maybe("--from-file", st.sampled_from([str(FIXTURE), str(tmp / "missing.edgelist")]), seldom)
+        maybe("--from-file", st.sampled_from([str(FIXTURE), str(tmp / "missing.edgelist"), ""]), seldom)
     if command in ("indices", "verify"):
         for alpha in draw(st.lists(st.sampled_from(["nan", "1e4", "-0.5", "0", "2", "0.5", "x"]),
                                    max_size=2)):
             argv += draw(st.sampled_from([[f"--alpha={alpha}"], ["--alpha", alpha]]))
     maybe("--format", st.sampled_from(FORMATS[command]))
-    maybe("--out", st.sampled_from([str(tmp / "out.txt"), str(tmp / "missing" / "out.txt"), str(tmp)]),
+    maybe("--out", st.sampled_from([str(tmp / "out.txt"), str(tmp / "missing" / "out.txt"), str(tmp), ""]),
           seldom)
     return argv
 

@@ -11,7 +11,10 @@ before ``mpoly --line`` stopped building the line graph.  A refactor that
 changes any byte of these outputs fails here.  The five with a
 non-integer alpha were re-recorded once, when each index route came to
 sum its float terms with ``math.fsum``: only the last digits of some
-floats changed, each new value within 1.03 ulp of a 50-digit sum.
+floats changed, each new value within 1.03 ulp of a 50-digit sum.  The
+last, ``indices`` on the irregular graph at alphas 0, -2, -0.5 and 1.5, was
+recorded before each index route came to read M2, MM2, R_alpha and
+RR_alpha from one Randic rule.
 """
 
 import hashlib
@@ -50,6 +53,9 @@ GOLDENS = [
     (["indices", "--from-file", IRREGULAR, "--line", "--alpha", "0.5", "--alpha", "2",
       "--format", "json"], 0,
      "f6119c1ca9e9a4e0194a1e5062b48c4120b0662f8eaeaaec2f3897b615d8a2b2"),
+    (["indices", "--from-file", IRREGULAR, "--alpha", "0", "--alpha=-2", "--alpha=-0.5",
+      "--alpha", "1.5", "--format", "json"], 0,
+     "e33a1da2bfd94d8b4b829fcda36a65adf0205616ab0ad946e3ff3cbe73640eeb"),
 ]
 
 

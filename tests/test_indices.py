@@ -24,6 +24,8 @@ from mladder import (
 from mladder.indices import check_alpha_digits
 
 from conftest import cycle_graph, path_graph, star_graph
+from test_acceptance import corpus
+from test_equivalence import simple_graphs
 
 
 def test_path_hand_values():
@@ -52,11 +54,35 @@ def test_r_zero_counts_edges():
     assert s.rr_alpha[0] == g.edge_count
 
 
-def test_reciprocal_is_negated_exponent():
-    g = cycle_graph(6)
-    s = indices_from_edges(g, alphas=(2, -2))
-    assert s.rr_alpha[2] == s.r_alpha[-2]
-    assert s.rr_alpha[-2] == s.r_alpha[2]
+RECIPROCAL_ALPHAS = (0, 1, -1, 2, -2, 0.5, -0.5, 1.5)
+
+
+def _bits(value):
+    """A value with its kind, a float by its exact bits."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def assert_one_randic_rule(g):
+    # M2 = R_1, MM2 = R_-1 and RR_a = R_-a, on both routes, floats bit for bit.
+    negated = [-a for a in RECIPROCAL_ALPHAS]
+    p = g.m_polynomial()
+    for route, source in ((indices_from_edges, g), (indices_from_mpoly, p)):
+        s, t = route(source, RECIPROCAL_ALPHAS), route(source, negated)
+        assert _bits(s.m2) == _bits(s.r_alpha[1])
+        assert _bits(s.mm2) == _bits(s.rr_alpha[1])
+        for a in RECIPROCAL_ALPHAS:
+            assert _bits(s.rr_alpha[a]) == _bits(t.r_alpha[-a]), (route.__name__, a)
+            assert _bits(s.r_alpha[a]) == _bits(t.rr_alpha[-a]), (route.__name__, a)
+
+
+@given(simple_graphs())
+def test_reciprocal_is_negated_exponent(g):
+    assert_one_randic_rule(g)
+
+
+def test_reciprocal_is_negated_exponent_on_corpus():
+    for g in corpus():
+        assert_one_randic_rule(g)
 
 
 def test_zero_degree_terms_cannot_be_inverted():

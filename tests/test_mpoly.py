@@ -31,12 +31,6 @@ def test_rejects_bad_exponents():
             MPoly({key: 1})
 
 
-def test_addition_merges_terms():
-    p = MPoly({(3, 3): 2, (3, 4): 1})
-    q = MPoly({(3, 4): -1, (4, 4): 7})
-    assert (p + q).terms == {(3, 3): Fraction(2), (4, 4): Fraction(7)}
-
-
 def test_weight_by_multiplies_coefficients():
     p = MPoly({(3, 4): 2})
     assert p.weight_by(1, 0).terms == {(3, 4): Fraction(6)}
@@ -100,11 +94,6 @@ def test_weight_by_composes(p, a, b, c, d):
 def test_weight_by_inverts(p):
     assert p.weight_by(1, 0).weight_by(-1, 0) == p
     assert p.weight_by(-2, 3).weight_by(2, -3) == p
-
-
-@given(polys, polys)
-def test_eval_at_one_is_additive(p, q):
-    assert (p + q).eval_at_one() == p.eval_at_one() + q.eval_at_one()
 
 
 @given(polys)
