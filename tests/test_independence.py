@@ -29,9 +29,9 @@ SHARED = {"indices.check_alpha_digits", "indices.normalize_alpha", "indices.Inde
 
 
 def _load():
-    """Each package function, class and module by qualified name, and each
-    module's top-level bindings."""
-    defs, bindings = {}, {}
+    """Each package function, class and module by qualified name, each
+    module's top-level bindings, and the package methods by name."""
+    defs, bindings, methods = {}, {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         names = bindings[module] = {}
@@ -47,15 +47,13 @@ def _load():
                 if isinstance(node, ast.ClassDef):
                     for item in node.body:
                         if isinstance(item, ast.FunctionDef):
-                            defs[f"{module}.{node.name}.{item.name}"] = item
-    return defs, bindings
+                            qualified = f"{module}.{node.name}.{item.name}"
+                            defs[qualified] = item
+                            methods.setdefault(item.name, set()).add(qualified)
+    return defs, bindings, methods
 
 
-DEFS, BINDINGS = _load()
-METHODS = {}
-for _name, _node in DEFS.items():
-    if _name.count(".") == 2:
-        METHODS.setdefault(_name.rsplit(".", 1)[1], set()).add(_name)
+DEFS, BINDINGS, METHODS = _load()
 
 
 def _references(node):
