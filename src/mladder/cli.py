@@ -27,7 +27,6 @@ import argparse
 import errno
 import gc
 import json
-import math
 import os
 import stat
 import sys
@@ -35,7 +34,7 @@ from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .graph import Graph
-from .indices import IndexSet, alpha_label, indices_from_edges, indices_from_mpoly
+from .indices import IndexSet, alpha_label, check_alpha_digits, indices_from_edges, indices_from_mpoly
 from .ladder import MIN_M, MIN_N, InvalidParams, build_ladder
 from .verify import SUBJECT_GROUPS, json_value, table, text_value, values_equal, verify_all
 
@@ -43,24 +42,12 @@ PROG = "mladder"
 
 
 def _range_arg(text: str) -> tuple[int, int]:
+    # Only the syntax: verify_all refuses an empty range or one outside the domain.
     try:
         lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
+        return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A:B with integers, got {text!r}") from None
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return lo, hi
-
-
-def _alpha_arg(text: str) -> float:
-    try:
-        alpha = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(alpha):
-        raise argparse.ArgumentTypeError(f"alpha must be finite, got {text!r}")
-    return alpha
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("indices", parents=[source],
                        help="compute indices from edges and from the M-polynomial")
-    p.add_argument("--alpha", action="append", type=_alpha_arg, metavar="A",
+    p.add_argument("--alpha", action="append", type=float, metavar="A",
                    help="Randic exponent; repeatable (default: 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -103,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject", choices=SUBJECT_GROUPS, default="all")
     p.add_argument("--m-range", type=_range_arg, metavar="A:B", default=None)
     p.add_argument("--n-range", type=_range_arg, metavar="A:B", default=None)
-    p.add_argument("--alpha", action="append", type=_alpha_arg, metavar="A",
+    p.add_argument("--alpha", action="append", type=float, metavar="A",
                    help="Randic exponent for proposition subjects; repeatable (default: 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -154,8 +141,9 @@ def _cmd_mpoly(args, parser) -> tuple[list[str], int]:
 
 
 def _cmd_indices(args, parser) -> tuple[list[str], int]:
+    # A non-finite alpha is refused before the graph is read or built.
+    alphas = check_alpha_digits(args.alpha or (1,), 1)
     g = _base_graph(args, parser)
-    alphas = args.alpha or (1,)
     # With --line the two routes share not even the line graph: the edge
     # sum runs over the built line graph, the polynomial is tallied from g.
     from_edges = indices_from_edges(g.line_graph() if args.line else g, alphas)
@@ -182,22 +170,28 @@ def _cmd_verify(args, parser) -> tuple[list[str], int]:
 
 def _check_out(path: str) -> None:
     """Raise the error that opening ``path`` for writing would raise when it
-    is empty, names a directory or its parent cannot be reached as a directory.
+    is empty, names a directory, its parent cannot be reached as a
+    directory, or its last component is longer than the parent's file
+    system allows.
 
-    Only ``stat`` is called: nothing is opened, created or truncated, so a
-    FIFO at ``path`` is opened once, by the write after the command.
+    Only ``stat`` and ``pathconf`` are called: nothing is opened, created or
+    truncated, so a FIFO at ``path`` is opened once, by the write after the
+    command.
     """
     if not path:
         code = errno.ENOENT
     elif path.endswith(os.sep) or os.path.isdir(path):
         code = errno.EISDIR
     else:
+        parent = os.path.dirname(path) or os.curdir
         try:
-            mode = os.stat(os.path.dirname(path) or os.curdir).st_mode
+            mode = os.stat(parent).st_mode
+            # A file system with no limit on name length reports -1.
+            too_long = len(os.fsencode(os.path.basename(path))) > os.pathconf(parent, "PC_NAME_MAX") > 0
         except OSError as exc:  # what resolving the parent meets, opening path meets too
             code = exc.errno
         else:
-            code = None if stat.S_ISDIR(mode) else errno.ENOTDIR
+            code = errno.ENOTDIR if not stat.S_ISDIR(mode) else errno.ENAMETOOLONG if too_long else None
     if code is not None:
         raise OSError(code, os.strerror(code), path)
 

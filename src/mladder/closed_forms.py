@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .indices import Alpha, IndexSet, Real, check_alpha_digits
+from .indices import Alpha, IndexSet, check_alpha_digits
 from .ladder import MIN_M
 from .mpoly import MPoly
 
@@ -55,18 +55,14 @@ def _check_range(m: int, n: int, label: str) -> None:
         raise OutOfStatedRange(f"{label} is stated for m >= {MIN_M}, n >= {min_n}; got (m={m}, n={n})")
 
 
-def _power(base: Fraction, alpha: Alpha) -> Real:
-    # Exact for integer alpha, float otherwise.
-    return base ** alpha if isinstance(alpha, int) else float(base) ** alpha
-
-
 def _index_set(m1: Fraction, m2: Fraction, mm2: Fraction, sdd: Fraction,
                alphas: Iterable[Alpha]) -> IndexSet:
-    # The paper's R_alpha and RR_alpha are M2 and MM2 raised to alpha.
+    # The paper's R_alpha and RR_alpha are M2 and MM2 raised to alpha: a
+    # Fraction power is exact for an int alpha and a float one otherwise.
     alphas = check_alpha_digits(alphas, max(m2.numerator, m2.denominator, mm2.numerator, mm2.denominator))
     return IndexSet(m1=m1, m2=m2, mm2=mm2, sdd=sdd,
-                    r_alpha={a: _power(m2, a) for a in alphas},
-                    rr_alpha={a: _power(mm2, a) for a in alphas})
+                    r_alpha={a: m2 ** a for a in alphas},
+                    rr_alpha={a: mm2 ** a for a in alphas})
 
 
 def thm31_mpoly(m: int, n: int) -> MPoly:

@@ -30,9 +30,10 @@ Integer alpha is computed exactly in rational arithmetic; non-integer
 alpha in double precision, each route taking the correctly rounded sum of
 one rounded term per entry of its own tally (compare with a relative
 tolerance of 1e-12).
-Each route normalizes its alphas and checks its integer ones with
-:func:`check_alpha_digits` before it raises anything to a power; the check
-computes no index value, so the routes still share no summation code.
+Each route normalizes and checks its alphas with :func:`check_alpha_digits`
+before it raises anything to a power: a float alpha must be finite, and an
+integer one small enough to print its values.  The check computes no index
+value, so the routes still share no summation code.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def alpha_label(alpha: Alpha) -> str:
 
 
 def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> list[Alpha]:
-    """Return the alphas normalized, in order, once no integer one is too large to print.
+    """Return the alphas normalized, in order, once each is finite and none too large to print.
 
     This is the one place alphas are normalized: every index producer
     calls it on the alphas it is given, and keys its Randic families by
@@ -82,9 +83,19 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> li
     ``sys.get_int_max_str_digits()`` Python refuses to print an int, so
     such an alpha raises ``ValueError`` here, before any power exists,
     which also bounds the work; the message names the bound rounded up.
-    Float alpha is not checked: its powers overflow to ``OverflowError``.
+
+    A float alpha must be finite, or ``ValueError`` is raised whatever
+    ``base`` is: ``nan`` or ``inf`` would make every Randic value ``nan``
+    or infinite, and no verdict could be read from them.  A finite float
+    alpha's powers are not bounded here; one past float range raises
+    ``OverflowError`` where it is computed.  An int alpha is never
+    converted to float, so one past float range is still refused by its
+    digit count.
     """
     alphas = [normalize_alpha(a) for a in alphas]
+    for a in alphas:
+        if isinstance(a, float) and not math.isfinite(a):
+            raise ValueError(f"alpha must be finite, got {a!r}")
     # 0 (no limit) would let one flag take unbounded time; keep the default.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     if base <= 1:

@@ -11,12 +11,17 @@ identical inputs always produce byte-identical output.
 Every subject yields ``(quantity, oracle, paper)`` rows -- one per
 M-polynomial term for a theorem, one per index for a proposition -- and
 :func:`verify_all` turns all of them into cases in one place.  There is
-one verdict rule, :func:`values_equal`: exact for two rationals, a
+one verdict rule, :func:`values_equal`: exact for two rationals and a
 relative tolerance of 1e-12 otherwise (float quantities, non-integer
-alpha), and never equal when a side is infinite or NaN.  Grid points
-below a claim's stated domain are recorded as ``out-of-domain`` rather
-than compared.  A float that overflowed to infinity is not rendered: the
-formatters raise ``OverflowError`` instead.
+alpha).  No NaN reaches it from the library, since every producer refuses
+a non-finite alpha, and two infinities of one sign compare equal.  Grid
+points below a claim's stated domain are recorded as ``out-of-domain``
+rather than compared.  A float that overflowed to infinity is not
+rendered: the formatters raise ``OverflowError`` instead.
+
+:func:`verify_all` refuses, before it builds anything, a grid whose
+graphs would have more than ``MAX_SIZE`` edges in all, the same limit that
+bounds one graph.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import closed_forms
 from .closed_forms import CLAIMS, Claim
-from .graph import Graph
-from .indices import Alpha, Real, indices_from_edges
+from .graph import MAX_SIZE, Graph
+from .indices import Alpha, Real, check_alpha_digits, indices_from_edges
 from .ladder import MIN_M, MIN_N, InvalidParams, build_ladder
 
 Range = tuple[int, int]
@@ -139,17 +144,15 @@ def values_equal(a: Real, b: Real) -> bool:
     return math.isclose(float(a), float(b), rel_tol=REL_TOL)
 
 
-def _finite(value: float) -> float:
+def _finite(value: Optional[Real]) -> Optional[Real]:
     """``value`` itself; a float sum that overflowed raises ``OverflowError``."""
-    if not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         raise OverflowError(f"non-finite value {value!r}")
     return value
 
 
 def json_value(value: Optional[Real]):
     """``value`` as a JSON-ready object: ``None``, ``{"num", "den"}`` or a finite float."""
-    if value is None:
-        return None
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
     return _finite(value)
@@ -173,9 +176,7 @@ def _json_text(value: Optional[Real]) -> str:
 
 def text_value(value: Optional[Real]) -> str:
     """``value`` as a table cell: ``-``, ``p`` or ``p/q``, or a finite float's ``repr``."""
-    if value is None:
-        return "-"
-    return str(value) if isinstance(value, Fraction) else repr(_finite(value))
+    return "-" if value is None else str(_finite(value))  # str of a float is its repr
 
 
 def table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
@@ -194,6 +195,23 @@ def _check_ranges(m_range: Range, n_range: Range) -> None:
             f"ranges must lie within the generator domain m >= {MIN_M}, n >= {MIN_N}; "
             f"got m {m_range}, n {n_range}"
         )
+
+
+def _check_budget(grids: dict[str, tuple[Range, Range]]) -> None:
+    """Refuse grids whose graphs would have more than ``MAX_SIZE`` edges in all.
+
+    Every point of each subject's rectangle is counted as built, its ladder
+    ``M_{m,n}`` with ``(m-1)(2n-1)`` edges and, for a line-graph subject,
+    also its line graph with ``6(m-1)(n-1)``.  Over a rectangle each sum is
+    the sum of ``m-1`` times that of ``2n-1`` (or ``8n-7``), two arithmetic
+    series, so the count costs the same however large the ranges are.
+    """
+    total = sum((m_hi - m_lo + 1) * (m_lo + m_hi - 2) // 2  # the sum of m-1
+                * (n_hi - n_lo + 1) * (n_lo + n_hi - 1 + 3 * (n_lo + n_hi - 2) * CLAIMS[subject].line)
+                for subject, ((m_lo, m_hi), (n_lo, n_hi)) in grids.items())
+    if total > MAX_SIZE:
+        raise InvalidParams(f"the grid's graphs would have {total} edges in all, more than the "
+                            f"limit of {MAX_SIZE}; use smaller ranges")
 
 
 _ZERO = Fraction(0)  # a theorem term missing on one side
@@ -228,11 +246,14 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
     built once and its line graph at most once, then shared by every
     subject at that point; nothing is kept from one point to the next.
 
-    The alphas are used as given: each index producer normalizes them and
-    keeps each once, in first-occurrence order, and no alphas give no
-    Randic rows.
+    Before anything is built the alphas are checked once: a non-finite
+    float alpha raises ``ValueError``, so even a theorem-only run refuses
+    it.  Unknown subjects, empty ranges, ranges below the generator's
+    domain and a grid over the edge budget raise ``InvalidParams``.  Each
+    index producer then normalizes the alphas and keeps each once, in
+    first-occurrence order, and no alphas give no Randic rows.
     """
-    alphas = tuple(alphas)  # read once: every grid point passes them on again
+    alphas = check_alpha_digits(alphas, 1)  # read once: every grid point passes them on again
     grids: dict[str, tuple[Range, Range]] = {}
     for subject in subjects:
         if subject not in CLAIMS:
@@ -240,6 +261,7 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
         m_max, n_max = CLAIMS[subject].grid_max
         grids[subject] = (m_range or (MIN_M, m_max), n_range or (CLAIMS[subject].min_n, n_max))
         _check_ranges(*grids[subject])
+    _check_budget(grids)
     cases: list[CaseResult] = []
     points = {p for (m_lo, m_hi), (n_lo, n_hi) in grids.values()
               for p in product(range(m_lo, m_hi + 1), range(n_lo, n_hi + 1))}

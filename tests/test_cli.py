@@ -199,6 +199,16 @@ def test_unwritable_out_fails_before_the_command(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"mladder verify: error: {out}: No such file or directory\n"
 
 
+def test_long_out_name_fails_before_the_command(tmp_path, monkeypatch, capsys):
+    def build_ladder(m, n):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr("mladder.cli.build_ladder", build_ladder)
+    out = tmp_path / ("x" * 300)
+    assert main(["gen", "--m", "50", "--n", "50", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"mladder gen: error: {out}: File name too long\n"
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_out_check_opens_nothing(tmp_path):
     # Opening a FIFO that has no reader for writing blocks, so a check that
@@ -349,6 +359,24 @@ def test_verify_bad_range_syntax():
     assert exc.value.code == 2
 
 
+def test_verify_empty_range_exit_2(capsys):
+    assert main(["verify", "--m-range", "6:4"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["mladder verify: error: empty range: m (6, 4), n (2, 10)"]
+
+
+@pytest.mark.parametrize("argv", [["--m-range", "4:4", "--n-range", "2:3000000"],
+                                  ["--m-range", "4:100000", "--n-range", "4:4"]])
+def test_over_budget_grid_exit_2_before_any_build(monkeypatch, capsys, argv):
+    def build_ladder(m, n):
+        raise AssertionError("a grid point was built")
+
+    monkeypatch.setattr("mladder.verify.build_ladder", build_ladder)
+    assert main(["verify", *argv]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "edges in all, more than the limit of 10000000" in errors[0]
+
+
 def test_verify_range_below_domain_exit_2(capsys):
     assert main(["verify", "--subject", "thm31",
                  "--m-range", "2:5", "--n-range", "3:5"]) == 2
@@ -376,9 +404,7 @@ def test_console_script_runs():
 @pytest.mark.parametrize("command", [["indices", "--m", "5", "--n", "3"], ["verify"]])
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "NaN", "1e400"])
 def test_non_finite_alpha_exit_2(capsys, command, alpha):
-    with pytest.raises(SystemExit) as exc:
-        main([*command, f"--alpha={alpha}"])
-    assert exc.value.code == 2
+    assert main([*command, f"--alpha={alpha}"]) == 2
     assert "alpha must be finite" in capsys.readouterr().err
 
 
@@ -395,7 +421,7 @@ def test_non_numeric_alpha_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["indices", "--m", "5", "--n", "3", "--alpha", "x"])
     assert exc.value.code == 2
-    assert "expected a number" in capsys.readouterr().err
+    assert "invalid float value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -179,6 +179,16 @@ def test_alpha_check_returns_the_normalized_alphas_in_order():
         assert [type(a) for a in checked] == [int, float, int, int, int]
 
 
+def test_alpha_check_refuses_non_finite_floats_only():
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha!r}$"):
+            check_alpha_digits([1, alpha], 1)
+    # An int past float range is not converted: only its digit count can refuse it.
+    assert check_alpha_digits([10**400, 1e308], 1) == [10**400, int(1e308)]
+    with pytest.raises(ValueError, match="more than the limit"):
+        check_alpha_digits([10**400], 2)
+
+
 def test_paired_rows_follow_the_results_own_alphas():
     g = build_ladder(5, 3)
     a = [1, 1.0, 2]

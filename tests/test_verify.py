@@ -3,7 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from mladder import CaseResult, InvalidParams, VerificationReport, values_equal, verify_all
+import mladder.verify
+from mladder import (
+    CaseResult,
+    InvalidParams,
+    VerificationReport,
+    build_ladder,
+    indices_from_edges,
+    indices_from_mpoly,
+    prop41_indices,
+    prop42_indices,
+    values_equal,
+    verify_all,
+)
 
 PROPS = ("prop41", "prop42")
 
@@ -163,3 +175,45 @@ def test_alphas_are_used_as_given():
 def test_rejects_unknown_subject():
     with pytest.raises(InvalidParams, match=r"unknown subject 'bogus'.*thm31, thm32, prop41, prop42"):
         verify_all(subjects=("bogus",))
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("produce", [
+    lambda a: indices_from_edges(build_ladder(5, 3), [a]),
+    lambda a: indices_from_mpoly(build_ladder(5, 3).m_polynomial(), [2, a]),
+    lambda a: prop41_indices(5, 3, [a]),
+    lambda a: prop42_indices(5, 4, [a, 1]),
+    lambda a: verify_all([a], PROPS, (4, 4), (4, 4)),
+    lambda a: verify_all([1, a], ("thm31",), (4, 4), (3, 3)),
+], ids=["edges", "mpoly", "prop41", "prop42", "verify-props", "verify-thm31"])
+def test_non_finite_alpha_is_refused(monkeypatch, produce, alpha):
+    # A NaN would make a "mismatch" of every Randic row, and two infinities a "match".
+    # verify_all refuses it before it builds anything, even with no Randic rows to make.
+    def refuse(m, n):
+        raise AssertionError("a grid point was built")
+
+    monkeypatch.setattr(mladder.verify, "build_ladder", refuse)
+    with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha!r}$"):
+        produce(alpha)
+
+
+def test_grid_edge_budget_holds_exactly(monkeypatch):
+    # Each subject counts its ladders, and a line-graph subject its line graphs too.
+    m_range, n_range = (4, 6), (4, 5)
+    ladders = [build_ladder(m, n) for m in range(4, 7) for n in range(4, 6)]
+    total = sum(2 * g.edge_count + g.line_graph().edge_count for g in ladders)
+    built = []
+
+    def counting_build_ladder(m, n):
+        built.append((m, n))
+        return build_ladder(m, n)
+
+    monkeypatch.setattr(mladder.verify, "build_ladder", counting_build_ladder)
+    monkeypatch.setattr(mladder.verify, "MAX_SIZE", total)
+    report = verify_all((), ("thm31", "thm32"), m_range, n_range)
+    assert report.theorem_mismatches() == 0 and len(built) == len(ladders)
+    built.clear()
+    monkeypatch.setattr(mladder.verify, "MAX_SIZE", total - 1)
+    with pytest.raises(InvalidParams, match=f" {total} edges in all, more than the limit of {total - 1};"):
+        verify_all((), ("thm31", "thm32"), m_range, n_range)
+    assert built == []
