@@ -11,9 +11,11 @@ All output is deterministic: identical invocations produce byte-identical
 bytes.  Exit status: 0 success, 2 invalid parameters, 3 when a verify run
 finds mismatches in a theorem subject (proposition mismatches are expected
 findings and leave the status at 0), 1 on I/O failure.  An ``--out`` path
-that is empty or names a directory, or whose parent is missing or not a
-directory, is reported before the command runs, so it exits 1 even when the
-parameters are invalid too.  An empty ``--out`` or ``--from-file`` path is a
+that is empty or names a directory, whose parent is missing or not a
+directory, or whose name is too long for its file system, is reported
+before the command runs, so it exits 1 even when the parameters are
+invalid too.  The parsers check only syntax: alphas, ranges and sizes are
+checked by the library, which raises ``ValueError`` (exit 2).  An empty ``--out`` or ``--from-file`` path is a
 path that cannot be opened, never a stand-in for stdout.
 
 :func:`main` runs one command and returns its status, for callers in
