@@ -29,7 +29,8 @@ S_x D_y`` at x = y = 1, which is linear), or of the same terms over edges.
 Integer alpha is computed exactly in rational arithmetic; non-integer
 alpha in double precision, each route taking the correctly rounded sum of
 one rounded term per entry of its own tally (compare with a relative
-tolerance of 1e-12).
+tolerance of 1e-12); each route raises ``OverflowError`` itself when that
+sum is not finite, so no infinite index is ever returned.
 Each route normalizes and checks its alphas with :func:`check_alpha_digits`
 before it raises anything to a power: a float alpha must be finite, and an
 integer one small enough to print its values.  The check computes no index
@@ -87,8 +88,8 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> li
     A float alpha must be finite, or ``ValueError`` is raised whatever
     ``base`` is: ``nan`` or ``inf`` would make every Randic value ``nan``
     or infinite, and no verdict could be read from them.  A finite float
-    alpha's powers are not bounded here; one past float range raises
-    ``OverflowError`` where it is computed.  An int alpha is never
+    alpha's powers are not bounded here; a power, a term or a sum past
+    float range raises ``OverflowError`` where it is computed.  An int alpha is never
     converted to float, so one past float range is still refused by its
     digit count.
     """
@@ -163,7 +164,7 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     and each index sums one term per edge.  Non-integer alpha sums the
     same tally in floats: a float index is the correctly rounded sum
     (``math.fsum``) of one rounded term ``c * p ** alpha`` per distinct
-    product.
+    product, and one that is not finite raises ``OverflowError``.
     """
     d = g.degrees()
     values = sorted(set(d))
@@ -182,7 +183,10 @@ def indices_from_edges(g: Graph, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
         """R_a over the product tally: exact for integer a, a negative one over
         ``den ** -a``; otherwise the correctly rounded sum of float terms."""
         if not isinstance(a, int):
-            return math.fsum(c * p ** a for p, c in product_counts.items())
+            total = math.fsum(c * p ** a for p, c in product_counts.items())
+            if not math.isfinite(total):
+                raise OverflowError(f"R_{a!r} over the edges is past float range")
+            return total
         if a >= 0:
             return Fraction(sum(c * p ** a for p, c in product_counts.items()))
         return Fraction(sum(c * (den // p) ** -a for p, c in product_counts.items()), den ** -a)
@@ -202,7 +206,8 @@ def indices_from_mpoly(p: MPoly, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     ``(1, 0)`` and ``(0, 1)``, SDD that of the mixed weights ``(1, -1)``
     and ``(-1, 1)``.  Non-integer alpha falls back to float summation over
     the terms, keeping the polynomial core exact: the correctly rounded sum
-    (``math.fsum``) of one rounded term per ``(i, j)``.  Every term must
+    (``math.fsum``) of one rounded term per ``(i, j)``, and one that is
+    not finite raises ``OverflowError``.  Every term must
     have both exponents >= 1 (true of any graph's M-polynomial); otherwise
     the negative weights raise ``ZeroExponentWeight``.  An integer alpha
     is first refused by :func:`check_alpha_digits` when its values would
@@ -222,7 +227,10 @@ def indices_from_mpoly(p: MPoly, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
         the correctly rounded sum of one float term per ``(i, j)``."""
         if isinstance(a, int):
             return p.weight_by(a, a).eval_at_one()
-        return math.fsum(float(c) * (i * j) ** a for (i, j), c in terms.items())
+        total = math.fsum(float(c) * (i * j) ** a for (i, j), c in terms.items())
+        if not math.isfinite(total):
+            raise OverflowError(f"R_{a!r} of the M-polynomial is past float range")
+        return total
 
     m1 = p.weight_by(1, 0).eval_at_one() + p.weight_by(0, 1).eval_at_one()
     m2, mm2 = R(1), R(-1)

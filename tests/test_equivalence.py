@@ -39,6 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mladder import Graph, MPoly, indices_from_edges, normalize_alpha, verify_all
+from mladder.graph import _SHORT_PROFILE as SHORT
 from mladder.verify import CaseResult, VerificationReport, json_value
 
 from conftest import path_graph, star_graph
@@ -286,6 +287,48 @@ def test_line_mpoly_of_star_and_single_edge():
 
 @given(simple_graphs())
 def test_line_mpoly_matches_line_graph(g):
+    assert_same_line_mpoly(g)
+
+
+@st.composite
+def profile_graphs(draw):
+    """Centres of degree 0 .. SHORT + 4 over a pool of SHORT + 6 vertices with
+    a few edges of their own, so a centre's profile is short or long and
+    repeats neighbour degrees; a twin centre copies an earlier centre's
+    neighbours, so their profiles are equal and counted once, twice over."""
+    pool = SHORT + 6
+    pairs = st.tuples(st.integers(0, pool - 1), st.integers(0, pool - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=12, unique_by=lambda e: (min(e), max(e))))
+    neighbourhoods = []
+    for centre in range(pool, pool + draw(st.integers(1, 5))):
+        if neighbourhoods and draw(st.booleans()):
+            around = draw(st.sampled_from(neighbourhoods))
+        else:
+            size = draw(st.sampled_from([SHORT, SHORT + 1]) | st.integers(0, SHORT + 4))
+            around = draw(st.lists(st.integers(0, pool - 1), min_size=size, max_size=size, unique=True))
+        neighbourhoods.append(around)
+        edges += [(v, centre) for v in around]
+    return Graph(pool + len(neighbourhoods), edges)
+
+
+@given(profile_graphs())
+def test_line_mpoly_matches_line_graph_on_short_and_long_profiles(g):
+    assert_same_line_mpoly(g)
+
+
+def twin_hubs(k):
+    """Two hubs joined to the same k vertices of a 2k-cycle, a third of which
+    carry a leaf: both hubs have the profile (4, ..., 4, 5, ..., 5) of k entries."""
+    edges = [(v, (v + 1) % (2 * k)) for v in range(2 * k)]
+    edges += [(v, hub) for hub in (2 * k, 2 * k + 1) for v in range(k)]
+    edges += [(v, 2 * k + 2 + v) for v in range(k // 3)]
+    return Graph(2 * k + 2 + k // 3, edges)
+
+
+@pytest.mark.parametrize("k", [SHORT, SHORT + 1], ids=["at-the-bound", "past-the-bound"])
+def test_line_mpoly_of_twin_hubs_at_the_profile_bound(k):
+    g = twin_hubs(k)
+    assert sorted(g.degrees())[-2:] == [k, k]
     assert_same_line_mpoly(g)
 
 

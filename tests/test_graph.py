@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -106,6 +107,22 @@ def test_edge_list_header_past_the_limit_costs_no_memory_per_line(monkeypatch, e
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\u2028"], ids=["crlf", "line-separator"])
+def test_edge_list_with_too_many_lines_keeps_no_more_than_its_header_declares(end):
+    # A header within the limit over 500,000 lines: the per-line parser keeps
+    # at most the declared lines and only counts the rest.  Splitting them
+    # all took about 14 times the text; the bulk check's copies take 2.
+    text = f"p 3 1{end}" + f"0 1{end}" * 500_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^header declares 1 edges but 500000 lines follow$"):
+            Graph.from_edgelist(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sys.getsizeof(text)
 
 
 def test_line_graph_of_path():

@@ -189,6 +189,22 @@ def test_alpha_check_refuses_non_finite_floats_only():
         check_alpha_digits([10**400], 2)
 
 
+@pytest.mark.parametrize("route", ["edges", "mpoly"])
+def test_an_infinite_float_index_is_refused_where_it_is_made(route):
+    # Every edge of the 1000-cycle has product 4.  4 ** 511.5 = 2 ** 1023 is
+    # finite and fsum takes it, but 1000 times it is not; at 506.5 the sum
+    # 1000 * 2 ** 1013 is.
+    g = cycle_graph(1000)
+    def index(alpha):
+        if route == "edges":
+            return indices_from_edges(g, [alpha])
+        return indices_from_mpoly(g.m_polynomial(), [alpha])
+    assert index(506.5).r_alpha[506.5] == 1000 * 2.0 ** 1013
+    for alpha in (511.5, -511.5):  # R_511.5 is r_alpha[511.5] and rr_alpha[-511.5]
+        with pytest.raises(OverflowError, match=r"^R_511\.5 .* is past float range$"):
+            index(alpha)
+
+
 def test_paired_rows_follow_the_results_own_alphas():
     g = build_ladder(5, 3)
     a = [1, 1.0, 2]
