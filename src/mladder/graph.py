@@ -198,8 +198,8 @@ class Graph:
         its length and multiplicity, and each group counts the degree pairs
         ``(x, y)``, ``x <= y``, of all its profiles in one ``Counter`` over
         ``combinations(profile, 2)``, which yields ``(x, x)`` ``C(c_x, 2)``
-        times; each count, shifted by ``d_w - 2`` and times the
-        multiplicity, goes to ``(x + d_w - 2, y + d_w - 2)``.  A longer
+        times; each count, times the multiplicity, goes to
+        ``(x + d_w - 2, y + d_w - 2)``.  A longer
         profile, whose ``C(d_w, 2)`` pairs would outnumber its runs of
         equal degrees by far, adds ``C(c_a, 2)`` and ``c_a * c_b`` run by run.
         """
@@ -223,8 +223,8 @@ class Graph:
             for (a, c_a), (b, c_b) in combinations(runs, 2):
                 counts[a, b] = counts.get((a, b), 0) + mult * c_a * c_b
         for (shift, mult), profiles in short.items():
-            # A sorted profile's pairs are (x, y), x <= y, with (x, x) C(c_x, 2) times.
-            for (x, y), c in Counter(chain.from_iterable(map(combinations, profiles, repeat(2)))).items():
+            pairs = chain.from_iterable(map(combinations, profiles, repeat(2)))
+            for (x, y), c in Counter(pairs).items():
                 key = shift + x, shift + y
                 counts[key] = counts.get(key, 0) + mult * c
         return MPoly(counts)

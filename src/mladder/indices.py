@@ -89,9 +89,9 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> li
     ``base`` is: ``nan`` or ``inf`` would make every Randic value ``nan``
     or infinite, and no verdict could be read from them.  A finite float
     alpha's powers are not bounded here; a power, a term or a sum past
-    float range raises ``OverflowError`` where it is computed.  An int alpha is never
-    converted to float, so one past float range is still refused by its
-    digit count.
+    float range raises ``OverflowError`` where it is computed.  An int
+    alpha is never converted to float, so one past float range is still
+    refused by its digit count.
     """
     alphas = [normalize_alpha(a) for a in alphas]
     for a in alphas:

@@ -15,8 +15,10 @@ route sums one term ``c * p ** alpha`` per distinct degree product ``p``
 instead, which rounds each term once more.
 ``Graph.line_m_polynomial`` tallies the line graph's
 M-polynomial from the degree-transfer law once per neighbour-degree
-profile; it must equal both the per-vertex tally it replaced and the
-M-polynomial of the materialized line graph.  ``Graph.from_edgelist`` finds
+profile, counting the degree pairs of short profiles and the runs of
+long ones; it must equal both the per-vertex tally it replaced and the
+M-polynomial of the materialized line graph, on profiles on both sides of
+that bound.  ``Graph.from_edgelist`` finds
 the header without splitting the text into lines, whatever its line ends,
 and parses a body in bulk when its digits and blanks are laid out as the
 header's edge count says a canonical body's are; it must give the same
