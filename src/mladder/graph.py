@@ -12,16 +12,17 @@ distinct neighbour-degree profile of a vertex; only vertices with edges
 have one, so memory stays O(E).  Short profiles are grouped by length and
 multiplicity, and each group's degree pairs are counted in one C-level
 pass; long ones, such as a hub's, are tallied by runs of equal degrees,
-whose pairs are far fewer.  Every edge-list text is read the same
-way: its header, the first line that is not blank, is found and checked
-against the limit before any later line is split or parsed.  A body in
-the form that :meth:`Graph.to_edgelist` writes is recognised by its
-header's own edge count, one ``" \\n"`` per edge once its digits are
-deleted, and parsed in bulk, its ids read by the standard library's JSON
-number scanner; any other body, and one with an id JSON refuses (a leading
-zero, or past ``int()``'s digit limit), goes through a per-line parser,
-which keeps no more lines than the header declares, only counts any
-further ones, and names the offending line.
+whose pairs are far fewer.  Every edge-list text is read by one scan for
+its non-blank lines, whatever the line ends: the first is its header,
+checked against the limit before any later line is split or parsed.  A
+text in the form that :meth:`Graph.to_edgelist` writes is recognised
+whole: it ends in LF, holds one LF more than its header declares edges
+(counted without a copy), and with its ASCII digits deleted is ``"p  \\n"``
+and then one ``" \\n"`` per edge.  Its ids are read in bulk by the
+standard library's JSON number scanner.  Any other text, and one with an
+id JSON refuses (a leading zero, or past ``int()``'s digit limit), goes on
+line by line from the same scan, which keeps no more lines than the header
+declares, only counts any further ones, and names the offending line.
 
 Each input is checked once, where it enters.  ``Graph(vertex_count,
 edges)`` is the constructor for edges from outside the program, a library
@@ -69,15 +70,9 @@ _NO_DIGITS = str.maketrans("", "", "0123456789")
 _TO_COMMAS = str.maketrans(" \n", ",,")
 # The line ends that str.splitlines() splits at; "\r\n" is one line end.
 _LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-# An edge list's header: the blank lines before it, if any, then the first
-# line with a non-blank character, with its own leading blanks, as group 1,
-# then its line end.  The greedy \s* backs off to the last line end before
-# that character, one character at a time, and nothing after the header
-# line is scanned.  re.match compiles it on first use (about 1 ms on a 2 GHz
-# Xeon, for its classes beyond Latin-1) and caches it, so a command that reads
-# no edge list does not pay for it.
-_HEADER = rf"(?:\s*[{_LINE_ENDS}])?([^\S{_LINE_ENDS}]*\S[^{_LINE_ENDS}]*)(?:\r\n|[{_LINE_ENDS}])?"
-# One line of a body, without its line end, compiled on first use like _HEADER.
+# One line of an edge list, without its line end.  re.compile compiles it on
+# first use and caches it, so a command that reads no edge list does not pay
+# for it.
 _LINE = f"[^{_LINE_ENDS}]+"
 
 
@@ -278,21 +273,28 @@ class Graph:
     def from_edgelist(cls, text: str) -> "Graph":
         """Parse the edge-list text format produced by :meth:`to_edgelist`.
 
-        The header is the first line that is not blank, whatever the line
-        ends; a header that declares more than :data:`MAX_SIZE` vertices or
-        edges is refused before any line after it is split or parsed.  A
-        body in the canonical form -- ASCII digits, single spaces, LF after
-        every line, as many lines as the header declares -- is parsed in
-        bulk.  Any other body -- CR or blank lines, other blanks, signs,
-        underscores, a missing final newline, a wrong edge count, an id with
-        a leading zero or too long for ``int()`` -- goes through the
+        One scan yields the lines that are not blank, whatever the line
+        ends.  The first is the header; one that declares more than
+        :data:`MAX_SIZE` vertices or edges is refused before any line after
+        it is split or parsed.  A whole text in the canonical form -- ASCII
+        digits, single spaces, LF after every line and no other line end,
+        as many edge lines as the header declares -- is parsed in bulk.
+        It is told by the text alone: it ends in LF, holds E + 1 LFs, and
+        with its digits deleted is ``"p  \\n"`` then ``" \\n"`` per edge.  Any
+        other text -- CR or blank lines, other blanks, signs, underscores, a
+        missing final newline, a wrong edge count, an id with a leading zero
+        or too long for ``int()`` -- goes on from the same scan through the
         per-line parser, which accepts what ``int()`` accepts on each field
         and names the offending line.
         """
-        header = re.match(_HEADER, text)
-        if header is None:
+        # The non-blank lines, as splitlines() would give them: a maximal run
+        # of characters that are not line ends.  The first is the header; of
+        # the rest at most E are kept, and any further ones are only counted,
+        # so a long body costs no memory per line.
+        lines = filter(str.strip, map(itemgetter(0), re.compile(_LINE).finditer(text)))
+        head = next(lines, None)
+        if head is None:
             raise ValueError("empty edge-list input")
-        head, rest = header[1], header.end()
         fields = head.split()
         if len(fields) != 3 or fields[0] != "p":
             raise ValueError(f"malformed header line {head!r}; expected 'p <vertices> <edges>'")
@@ -304,15 +306,16 @@ class Graph:
             raise ValueError(f"vertex_count {vertex_count} exceeds the limit of {MAX_SIZE}")
         if edge_count > MAX_SIZE:
             raise ValueError(f"the header declares {edge_count} edges, more than the limit of {MAX_SIZE}")
-        # With its ASCII digits deleted, a canonical body is " \n" once per
-        # edge, and 2E characters holding E of them are nothing else.  An
-        # empty id then leaves two commas or a bracket next to a comma, which
-        # JSON refuses; digits after the last LF fail the LF test.
-        skeleton = text[rest:].translate(_NO_DIGITS)
-        if (len(skeleton) == 2 * edge_count and skeleton.count(" \n") == edge_count
-                and (rest == len(text) or text[-1] == "\n")):
+        # With its ASCII digits deleted, a canonical text is "p  \n" and then
+        # " \n" once per edge.  Its LFs are counted first, which copies
+        # nothing; the final-LF test refuses digits after the last one.  Its
+        # header is its first line, so its body starts at len(head) + 1.  An
+        # empty id leaves two commas or a bracket next to a comma, which JSON
+        # refuses.
+        if (text.endswith("\n") and text.count("\n") == edge_count + 1
+                and text.translate(_NO_DIGITS) == "p  \n" + " \n" * edge_count):
             try:
-                numbers = json.loads("[" + text[rest:-1].translate(_TO_COMMAS) + "]")
+                numbers = json.loads("[" + text[len(head) + 1:-1].translate(_TO_COMMAS) + "]")
             except ValueError:
                 # JSON refuses a leading zero, which the line parser accepts,
                 # and an id past int()'s digit limit, whose line it names.
@@ -321,11 +324,7 @@ class Graph:
                 # JSON took 2E - 1 commas, each between two ids: 2E ids, so zip pairs every one.
                 ids = iter(numbers)
                 return cls(vertex_count, list(zip(ids, ids)))
-        # The non-blank lines, as splitlines() would give them: a maximal run
-        # of characters that are not line ends.  At most E are kept; any
-        # further ones are only counted, so a long body costs no memory per line.
-        lines = filter(str.strip, map(itemgetter(0), re.compile(_LINE).finditer(text, rest)))
-        kept = list(islice(lines, edge_count))
+        kept = list(islice(lines, max(edge_count, 0)))
         found = len(kept) + sum(1 for _ in lines)
         if found != edge_count:
             raise ValueError(f"header declares {edge_count} edges but {found} lines follow")

@@ -246,9 +246,9 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
     built once and its line graph at most once, then shared by every
     subject at that point; nothing is kept from one point to the next.
 
-    Before anything is built the alphas are checked once: a non-finite
-    float alpha raises ``ValueError``, so even a theorem-only run refuses
-    it.  Unknown subjects, empty ranges, ranges below the generator's
+    Before anything is built the alphas are checked once: a bool or a
+    non-finite float alpha raises ``ValueError``, so even a theorem-only
+    run refuses it.  Unknown subjects, empty ranges, ranges below the generator's
     domain and a grid over the edge budget raise ``InvalidParams``.  Each
     index producer then normalizes the alphas and keeps each once, in
     first-occurrence order, and no alphas give no Randic rows.

@@ -554,6 +554,8 @@ PARSER_CASES = [
     "p 2 1\n 1\n",
     "p 2 1\n1 \n",
     "p 4 2\n0\n1 2 3\n",
+    "p 3 -1\n",
+    "p 3 -1\n0 1\n",
 ]
 PARSER_CASE_IDS = ["crlf", "blank-lines", "tab", "plus-sign", "underscore", "leading-zeros",
                    "negative-id", "no-final-newline", "5000-digit-id", "5000-digit-count",
@@ -561,7 +563,7 @@ PARSER_CASE_IDS = ["crlf", "blank-lines", "tab", "plus-sign", "underscore", "lea
                    "indented-header", "indented-malformed-header", "cr", "form-feed",
                    "file-separator", "next-line", "line-separator", "crlf-header-lf-body",
                    "digit-after-empty-body", "header-only", "empty-first-id", "empty-second-id",
-                   "ids-across-lines"]
+                   "ids-across-lines", "negative-edge-count", "negative-edge-count-with-edge"]
 
 
 @pytest.mark.parametrize("text", PARSER_CASES, ids=PARSER_CASE_IDS)

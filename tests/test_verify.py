@@ -177,8 +177,8 @@ def test_rejects_unknown_subject():
         verify_all(subjects=("bogus",))
 
 
-@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")], ids=repr)
-@pytest.mark.parametrize("produce", [
+# Each index producer, and verify_all on a grid with and without Randic rows.
+each_producer = pytest.mark.parametrize("produce", [
     lambda a: indices_from_edges(build_ladder(5, 3), [a]),
     lambda a: indices_from_mpoly(build_ladder(5, 3).m_polynomial(), [2, a]),
     lambda a: prop41_indices(5, 3, [a]),
@@ -186,14 +186,31 @@ def test_rejects_unknown_subject():
     lambda a: verify_all([a], PROPS, (4, 4), (4, 4)),
     lambda a: verify_all([1, a], ("thm31",), (4, 4), (3, 3)),
 ], ids=["edges", "mpoly", "prop41", "prop42", "verify-props", "verify-thm31"])
-def test_non_finite_alpha_is_refused(monkeypatch, produce, alpha):
-    # A NaN would make a "mismatch" of every Randic row, and two infinities a "match".
-    # verify_all refuses it before it builds anything, even with no Randic rows to make.
+
+
+def refuse_to_build(monkeypatch):
     def refuse(m, n):
         raise AssertionError("a grid point was built")
 
     monkeypatch.setattr(mladder.verify, "build_ladder", refuse)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@each_producer
+def test_non_finite_alpha_is_refused(monkeypatch, produce, alpha):
+    # A NaN would make a "mismatch" of every Randic row, and two infinities a "match".
+    # verify_all refuses it before it builds anything, even with no Randic rows to make.
+    refuse_to_build(monkeypatch)
     with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha!r}$"):
+        produce(alpha)
+
+
+@pytest.mark.parametrize("alpha", [True, False], ids=repr)
+@each_producer
+def test_bool_alpha_is_refused(monkeypatch, produce, alpha):
+    # True would key a Randic value, and label its row, as r_alpha[True].
+    refuse_to_build(monkeypatch)
+    with pytest.raises(ValueError, match=f"^alpha must be an int or a float, not a bool, got {alpha}$"):
         produce(alpha)
 
 
