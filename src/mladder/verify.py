@@ -248,10 +248,11 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
 
     Before anything is built the alphas are checked once: a bool or a
     non-finite float alpha raises ``ValueError``, so even a theorem-only
-    run refuses it.  Unknown subjects, empty ranges, ranges below the generator's
-    domain and a grid over the edge budget raise ``InvalidParams``.  Each
-    index producer then normalizes the alphas and keeps each once, in
-    first-occurrence order, and no alphas give no Randic rows.
+    run refuses it.  Unknown subjects, empty ranges, ranges below the
+    generator's domain and a grid over the edge budget raise
+    ``InvalidParams``.  Each index producer then normalizes the alphas and
+    keeps each once, in first-occurrence order, and no alphas give no
+    Randic rows.
     """
     alphas = check_alpha_digits(alphas, 1)  # read once: every grid point passes them on again
     grids: dict[str, tuple[Range, Range]] = {}
