@@ -121,28 +121,26 @@ def _indexset_json(s: IndexSet) -> dict:
             for name, value in s._asdict().items()}
 
 
-# Each command returns the pieces of its output, which main writes in turn,
-# so that no command copies a large text to end it with a newline.
-def _cmd_graph(args, parser) -> tuple[list[str], int]:
+def _cmd_graph(args, parser) -> tuple[str, int]:
     if args.m is None or args.n is None:
         parser.error(f"{args.command}: --m and --n are required")
     g = build_ladder(args.m, args.n)
     if args.command == "line":
         g = g.line_graph()
     if args.format == "edgelist":
-        return [g.to_edgelist()], 0
+        return g.to_edgelist(), 0
     payload = {"vertex_count": g.vertex_count, "edge_count": g.edge_count, "edges": g.edges}
-    return [json.dumps(payload), "\n"], 0
+    return json.dumps(payload) + "\n", 0
 
 
-def _cmd_mpoly(args, parser) -> tuple[list[str], int]:
+def _cmd_mpoly(args, parser) -> tuple[str, int]:
     g = _base_graph(args, parser)
     poly = g.line_m_polynomial() if args.line else g.m_polynomial()
     fmt = {"text": "plain", "json": "json", "latex": "latex"}[args.format]
-    return [poly.render(fmt), "\n"], 0
+    return poly.render(fmt) + "\n", 0
 
 
-def _cmd_indices(args, parser) -> tuple[list[str], int]:
+def _cmd_indices(args, parser) -> tuple[str, int]:
     # A non-finite alpha is refused before the graph is read or built.
     alphas = check_alpha_digits(args.alpha or (1,), 1)
     g = _base_graph(args, parser)
@@ -157,17 +155,17 @@ def _cmd_indices(args, parser) -> tuple[list[str], int]:
             "from_mpoly": _indexset_json(from_mpoly),
             "agreement": {q: values_equal(a, b) for q, a, b in rows},
         }
-        return [json.dumps(payload, indent=2), "\n"], 0
+        return json.dumps(payload, indent=2) + "\n", 0
     header = ("quantity", "edges", "mpoly", "agree")
     cells = [(q, text_value(a), text_value(b), "yes" if values_equal(a, b) else "NO")
              for q, a, b in rows]
-    return ["\n".join(table(header, cells)), "\n"], 0
+    return "\n".join(table(header, cells)) + "\n", 0
 
 
-def _cmd_verify(args, parser) -> tuple[list[str], int]:
+def _cmd_verify(args, parser) -> tuple[str, int]:
     report = verify_all(args.alpha or (1,), SUBJECT_GROUPS[args.subject], args.m_range, args.n_range)
-    pieces = [report.to_json(), "\n"] if args.format == "json" else [report.to_text()]
-    return pieces, 3 if report.theorem_mismatches() else 0
+    text = report.to_json() + "\n" if args.format == "json" else report.to_text()
+    return text, 3 if report.theorem_mismatches() else 0
 
 
 def _check_out(path: str) -> None:
@@ -216,15 +214,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             if args.out is not None:
                 _check_out(args.out)
-            pieces, status = COMMANDS[args.command](args, parser)
+            text, status = COMMANDS[args.command](args, parser)
             # --out is opened only now, so a failed command leaves it untouched.
             with open(args.out, "wb") if args.out is not None else nullcontext(sys.stdout.buffer) as fh:
-                for text in pieces:
-                    # Under PYTHONUNBUFFERED=1 stdout is a raw stream, and a raw write
-                    # may take only part of its bytes; write until all are taken.
-                    view = memoryview(text.encode("ascii"))
-                    while view:
-                        view = view[fh.write(view):]
+                # Under PYTHONUNBUFFERED=1 stdout is a raw stream, and a raw write
+                # may take only part of its bytes; write until all are taken.
+                view = memoryview(text.encode("ascii"))
+                while view:
+                    view = view[fh.write(view):]
                 fh.flush()
         except ValueError as exc:
             print(f"{PROG} {args.command}: error: {exc}", file=sys.stderr)

@@ -17,12 +17,13 @@ its non-blank lines, whatever the line ends: the first is its header,
 checked against the limit before any later line is split or parsed.  A
 text in the form that :meth:`Graph.to_edgelist` writes is recognised
 whole: it ends in LF, holds one LF more than its header declares edges
-(counted without a copy), and with its ASCII digits deleted is ``"p  \\n"``
-and then one ``" \\n"`` per edge.  Its ids are read in bulk by the
-standard library's JSON number scanner.  Any other text, and one with an
-id JSON refuses (a leading zero, or past ``int()``'s digit limit), goes on
-line by line from the same scan, which keeps no more lines than the header
-declares, only counts any further ones, and names the offending line.
+and no CR (both found without a copy), and with its ASCII digits deleted
+is ``"p  \\n"`` and then one ``" \\n"`` per edge.  Its ids are read in bulk
+by the standard library's JSON number scanner.  Any other text, and one
+with an id JSON refuses (a leading zero, or past ``int()``'s digit limit),
+goes on line by line from the same scan, which keeps no more lines than
+the header declares, only counts any further ones, and names the
+offending line.
 
 Each input is checked once, where it enters.  ``Graph(vertex_count,
 edges)`` is the constructor for edges from outside the program, a library
@@ -89,25 +90,23 @@ class Graph:
         edges = list(edges)
         if len(edges) > MAX_SIZE:
             raise ValueError(f"the graph has {len(edges)} edges, more than the limit of {MAX_SIZE}")
-        # Checked in bulk rather than edge by edge, ids first so that the
-        # sort only ever compares ints (``type(x) is int`` also rejects
-        # bools).  Edges already given as (smaller, larger), as canonical
-        # edge lists give them, hold no loop and need no flipping.  On the
-        # sorted list a loop is an edge that is not strictly ordered, and a
-        # duplicate is equal to its sorted neighbour.
+        # Checked in bulk rather than edge by edge, ids first so that no
+        # comparison below meets anything but ints (``type(x) is int`` also
+        # rejects bools).  Each edge is then stored as (smaller, larger):
+        # ``tuple(e)`` is ``e`` itself for a tuple, so an edge already in that
+        # order, as canonical edge lists give them, is kept as the very object
+        # it came as, and only a flipped edge or a list becomes a new tuple.
+        # On the sorted list a loop is an edge that is not strictly ordered,
+        # and a duplicate is equal to its sorted neighbour.
         if not all(type(u) is int and type(v) is int for u, v in edges):
             u, v = next((u, v) for u, v in edges if type(u) is not int or type(v) is not int)
             raise ValueError(f"vertex identifiers must be integers, got ({u!r}, {v!r})")
-        ordered = all(starmap(lt, edges))
-        if ordered:
-            pairs = list(map(tuple, edges))  # the very objects when they are tuples
-        else:
-            pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+        pairs = [e if e[0] < e[1] else (e[1], e[0]) for e in map(tuple, edges)]
         pairs.sort()
         if pairs and (pairs[0][0] < 0 or max(map(itemgetter(1), pairs)) >= vertex_count):
             u, v = next(e for e in pairs if e[0] < 0 or e[1] >= vertex_count)
             raise ValueError(f"edge ({u}, {v}) out of range for {vertex_count} vertices")
-        if not ordered and not all(starmap(lt, pairs)):
+        if not all(starmap(lt, pairs)):
             u = next(u for u, v in pairs if u == v)
             raise ValueError(f"self-loop at vertex {u}")
         if any(map(eq, pairs, islice(pairs, 1, None))):
@@ -279,13 +278,14 @@ class Graph:
         it is split or parsed.  A whole text in the canonical form -- ASCII
         digits, single spaces, LF after every line and no other line end,
         as many edge lines as the header declares -- is parsed in bulk.
-        It is told by the text alone: it ends in LF, holds E + 1 LFs, and
-        with its digits deleted is ``"p  \\n"`` then ``" \\n"`` per edge.  Any
-        other text -- CR or blank lines, other blanks, signs, underscores, a
-        missing final newline, a wrong edge count, an id with a leading zero
-        or too long for ``int()`` -- goes on from the same scan through the
-        per-line parser, which accepts what ``int()`` accepts on each field
-        and names the offending line.
+        It is told by the text alone: it ends in LF, holds E + 1 LFs and no
+        CR, and with its digits deleted is ``"p  \\n"`` then ``" \\n"`` per
+        edge; the LFs are counted and a CR looked for before any copy is
+        made.  Any other text -- CR or blank lines, other blanks, signs,
+        underscores, a missing final newline, a wrong edge count, an id with
+        a leading zero or too long for ``int()`` -- goes on from the same
+        scan through the per-line parser, which accepts what ``int()``
+        accepts on each field and names the offending line.
         """
         # The non-blank lines, as splitlines() would give them: a maximal run
         # of characters that are not line ends.  The first is the header; of
@@ -307,12 +307,13 @@ class Graph:
         if edge_count > MAX_SIZE:
             raise ValueError(f"the header declares {edge_count} edges, more than the limit of {MAX_SIZE}")
         # With its ASCII digits deleted, a canonical text is "p  \n" and then
-        # " \n" once per edge.  Its LFs are counted first, which copies
-        # nothing; the final-LF test refuses digits after the last one.  Its
-        # header is its first line, so its body starts at len(head) + 1.  An
-        # empty id leaves two commas or a bracket next to a comma, which JSON
-        # refuses.
-        if (text.endswith("\n") and text.count("\n") == edge_count + 1
+        # " \n" once per edge.  Its LFs are counted and a CR looked for first,
+        # which copies nothing, so a text with CRLF after every line, which
+        # also holds E + 1 LFs, is never copied; the final-LF test refuses
+        # digits after the last one.  Its header is its first line, so its
+        # body starts at len(head) + 1.  An empty id leaves two commas or a
+        # bracket next to a comma, which JSON refuses.
+        if (text.endswith("\n") and text.count("\n") == edge_count + 1 and "\r" not in text
                 and text.translate(_NO_DIGITS) == "p  \n" + " \n" * edge_count):
             try:
                 numbers = json.loads("[" + text[len(head) + 1:-1].translate(_TO_COMMAS) + "]")
@@ -323,7 +324,7 @@ class Graph:
             else:
                 # JSON took 2E - 1 commas, each between two ids: 2E ids, so zip pairs every one.
                 ids = iter(numbers)
-                return cls(vertex_count, list(zip(ids, ids)))
+                return cls(vertex_count, zip(ids, ids))
         kept = list(islice(lines, max(edge_count, 0)))
         found = len(kept) + sum(1 for _ in lines)
         if found != edge_count:

@@ -390,10 +390,19 @@ def flipped(edges):
 
 @given(simple_graphs())
 def test_orientation_builds_equal_graphs(g):
-    # Edges given as (smaller, larger) skip the flipping; flipped ones do not.
+    # Every orientation, and edges given as lists, go through the one normalisation.
     assert Graph(g.vertex_count, g.edges) == Graph(g.vertex_count, flipped(g.edges)) == g
     as_lists = Graph(g.vertex_count, [list(e) for e in g.edges])
     assert as_lists == g and all(type(e) is tuple for e in as_lists.edges)
+
+
+def test_ordered_tuple_edges_are_stored_as_the_objects_given():
+    # Only a flipped edge becomes a new tuple; an ordered one is kept as it came.
+    ordered = [(0, 1), (1, 2), (2, 3)]
+    g = Graph(6, [ordered[0], (4, 3), ordered[1], (5, 0), ordered[2]])
+    assert g.edges == ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4))
+    assert all(g.edges[i] is e for i, e in zip((0, 2, 3), ordered))
+    assert all(type(g.edges[i]) is tuple for i in (1, 4))
 
 
 @pytest.mark.parametrize("bad,flip_bad,message", [

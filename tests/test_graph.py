@@ -225,6 +225,32 @@ def test_canonical_text_and_only_it_is_read_in_bulk(monkeypatch, g):
     for other in (text.replace("\n", "\r\n", 1), "\n" + text):
         assert Graph.from_edgelist(other) == g
     assert len(calls) == 1
+    # Every edge line written "v u" is still the bulk form; Graph(...) flips the pairs.
+    head, *body = text.splitlines()
+    reversed_lines = "\n".join([head, *(" ".join(line.split()[::-1]) for line in body), ""])
+    assert Graph.from_edgelist(reversed_lines) == g
+    assert len(calls) == 2
+
+
+def test_crlf_text_is_not_copied_for_the_bulk_test(monkeypatch):
+    # CRLF after every line also ends in LF and holds E + 1 LFs, but the CR
+    # test refuses it before the digit-deleting translate copies it.
+    lookups = []
+
+    class CountingTable(dict):
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(mladder.graph, "_NO_DIGITS", CountingTable(mladder.graph._NO_DIGITS))
+    g = build_ladder(5, 3)
+    text = g.to_edgelist()
+    crlf = text.replace("\n", "\r\n")
+    assert crlf.endswith("\n") and crlf.count("\n") == g.edge_count + 1
+    assert Graph.from_edgelist(crlf) == g
+    assert lookups == []
+    assert Graph.from_edgelist(text) == g
+    assert lookups
 
 
 def test_from_edgelist_rejects_malformed():

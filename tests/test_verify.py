@@ -141,6 +141,22 @@ def test_empty_report_text():
     )
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=repr)
+def test_non_finite_float_is_not_rendered(value):
+    # Each formatter refuses a float that overflowed rather than print it.
+    with pytest.raises(OverflowError, match="^non-finite value "):
+        mladder.verify.text_value(value)
+    with pytest.raises(OverflowError, match="^non-finite value "):
+        mladder.verify.json_value(value)
+    report = VerificationReport(cases=(
+        CaseResult(7, 3, "prop41", "r_alpha[511.5]", value, 1.0, "mismatch"),
+    ))
+    with pytest.raises(OverflowError, match="^non-finite value "):
+        report.to_json()
+    with pytest.raises(OverflowError, match="^non-finite value "):
+        report.to_text()
+
+
 def test_rejects_bad_ranges():
     with pytest.raises(InvalidParams):
         verify_all(subjects=("thm31",), m_range=(6, 4), n_range=(3, 3))
