@@ -109,6 +109,8 @@ def _base_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Gr
             except OSError as exc:  # a failed read names no file; main reports exc.filename
                 exc.filename = args.from_file
                 raise
+            except UnicodeDecodeError as exc:  # not ASCII: malformed input (exit 2), named like a failed read
+                raise ValueError(f"{args.from_file}: {exc}") from None
         return Graph.from_edgelist(text)
     if args.m is None or args.n is None:
         parser.error(f"{args.command}: --m and --n are required (or --from-file)")

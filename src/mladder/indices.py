@@ -84,7 +84,8 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> li
     ``a``), both parts stay within that bound.  Above
     ``sys.get_int_max_str_digits()`` Python refuses to print an int, so
     such an alpha raises ``ValueError`` here, before any power exists,
-    which also bounds the work; the message names the bound rounded up.
+    which also bounds the work; the message names the bound rounded up,
+    and an alpha too long to print itself by its sign and that limit.
 
     A bool alpha is refused with ``ValueError``, as ``MPoly`` and ``Graph``
     refuse bool exponents and ids: it would key a Randic value as ``True``.
@@ -115,7 +116,11 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> li
         if digits > limit:
             # A float product past ~1e308 is inf, which is no digit count to print.
             size = f"up to {math.ceil(digits)} digits, over" if math.isfinite(digits) else "more than"
-            raise ValueError(f"alpha {a} is too large for exact arithmetic: its values would have "
+            try:
+                name = f"alpha {a}"
+            except ValueError:  # past Python's own limit, str(a) raises: name it by sign and size
+                name = f"{'a negative' if a < 0 else 'an'} alpha of more than {limit} digits"
+            raise ValueError(f"{name} is too large for exact arithmetic: its values would have "
                              f"{size} the limit of {limit} digits for printing an integer")
     return alphas
 

@@ -73,6 +73,12 @@ def test_mpoly_from_file(tmp_path, capsys):
     from_file = capsys.readouterr().out
     assert main(["mpoly", "--m", "6", "--n", "4"]) == 0
     assert from_file == capsys.readouterr().out
+    # The M-polynomial of the emitted line graph is the direct line tally's.
+    assert main(["line", "--m", "9", "--n", "6", "--out", str(target)]) == 0
+    assert main(["mpoly", "--from-file", str(target), "--format", "json"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["mpoly", "--m", "9", "--n", "6", "--line", "--format", "json"]) == 0
+    assert from_file == capsys.readouterr().out
 
 
 def test_from_file_excludes_size_flags(tmp_path):
@@ -110,6 +116,7 @@ def test_help_lists_each_flag_family_in_order(capsys, command, flags):
     # Only the option names, so the terminal width cannot move them.
     options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
     assert re.findall(r"(?<!\S)--[a-z-]+", options) == flags.split()
+    assert command != "verify" or "--subject {thm31,thm32,props,all}" in options
 
 
 def test_indices_json(capsys):
@@ -121,10 +128,11 @@ def test_indices_json(capsys):
 
 
 def test_indices_alpha_flags(capsys):
+    # Randic keys follow the normalized alphas, each once, first occurrence first.
     assert main(["indices", "--m", "5", "--n", "4",
-                 "--alpha", "0.5", "--alpha", "2", "--format", "json"]) == 0
+                 "--alpha", "2", "--alpha", "2.0", "--alpha", "0.5", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert set(data["from_edges"]["r_alpha"]) == {"0.5", "2"}
+    assert list(data["from_edges"]["r_alpha"]) == ["2", "0.5"]
     assert all(data["agreement"].values())
 
 
@@ -254,6 +262,7 @@ def test_stdout_closed_mid_write_unbuffered_exit_1():
 @pytest.mark.parametrize("header,argv,message", [
     ("p 100000000000 0\n", ["mpoly"], "vertex_count 100000000000 exceeds the limit of 10000000"),
     (None, ["gen", "--m", "100000", "--n", "100000"], "(m-1)*(2n-1) = 19999700001 edges"),
+    ("p 10000001 0\n", ["mpoly"], "vertex_count 10000001 exceeds the limit of 10000000"),
 ])
 def test_vertex_count_past_the_limit_exit_2(tmp_path, capsys, header, argv, message):
     # Refused before anything of that size is allocated: not a hang or a MemoryError.
@@ -263,6 +272,7 @@ def test_vertex_count_past_the_limit_exit_2(tmp_path, capsys, header, argv, mess
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err.splitlines()[0]
+    assert captured.err.count("error:") == 1
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -271,14 +281,18 @@ def test_vertex_count_past_the_limit_exit_2(tmp_path, capsys, header, argv, mess
      "10000000 (m=100001, n=100)"),
     (["indices", "--line", "--from-file", "star.edgelist"],
      "mladder indices: error: the line graph has 12497500 edges, more than the limit of 10000000"),
-], ids=["ladder", "line-of-star"])
+    (["mpoly", "--from-file", "many.edgelist"],
+     "mladder mpoly: error: the header declares 10000001 edges, more than the limit of 10000000"),
+], ids=["ladder", "line-of-star", "header"])
 def test_edge_count_past_the_limit_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # Within the vertex limit, but refused before the edges are allocated.
     monkeypatch.chdir(tmp_path)
     Path("star.edgelist").write_text(star_graph(5000).to_edgelist(), encoding="ascii")
+    Path("many.edgelist").write_text("p 10 10000001\n", encoding="ascii")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines()[0] == message
+    assert captured.err.count("error:") == 1
 
 
 def test_edge_list_past_the_edge_limit_exit_2(tmp_path, monkeypatch, capsys):
@@ -332,6 +346,16 @@ def test_malformed_input_file_exit_2(tmp_path, capsys):
     target = tmp_path / "bad.txt"
     target.write_text("not an edge list\n", encoding="ascii")
     assert main(["mpoly", "--from-file", str(target)]) == 2
+
+
+def test_non_ascii_input_file_exit_2_names_the_file(tmp_path, capsys):
+    target = tmp_path / "accent.edgelist"
+    target.write_bytes(b"p 2 1\n0 1\xc3\xa9\n")
+    assert main(["mpoly", "--from-file", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"mladder mpoly: error: {target}: 'ascii' codec can't decode byte 0xc3 "
+                            "in position 9: ordinal not in range(128)\n")
 
 
 def test_verify_theorem_mismatch_exit_3(capsys):
@@ -401,11 +425,14 @@ def test_console_script_runs():
     assert "thm32" in proc.stdout
 
 
-@pytest.mark.parametrize("command", [["indices", "--m", "5", "--n", "3"], ["verify"]])
+# The last command makes no Randic rows, and still refuses the alpha.
+@pytest.mark.parametrize("command", [["indices", "--m", "5", "--n", "3"], ["verify"],
+                                     ["verify", "--subject", "thm31"]])
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "NaN", "1e400"])
 def test_non_finite_alpha_exit_2(capsys, command, alpha):
     assert main([*command, f"--alpha={alpha}"]) == 2
-    assert "alpha must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "alpha must be finite" in err and err.count("error:") == 1
 
 
 def test_negative_alpha_equals_form(capsys):

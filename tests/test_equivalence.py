@@ -132,14 +132,13 @@ def hub_graph(seed, vertices=2000, background_edges=4000, hubs=4, hub_degree=60)
     return Graph(vertices, edges)
 
 
-def hubs_on_a_cycle(seed, vertices=400, hubs=4, hub_degree=40):
+def hubs_on_a_cycle(seed, vertices=400, hub_degrees=(40,) * 4):
     """Hubs joined to random vertices of a cycle: nearly every neighbour of a hub
     has degree 3, so a hub's profile is a few long runs of equal degrees."""
     rng = random.Random(seed)
     edges = [(v, (v + 1) % vertices) for v in range(vertices)]
-    edges += [(v, h) for h in range(vertices, vertices + hubs)
-              for v in rng.sample(range(vertices), hub_degree)]
-    return Graph(vertices + hubs, edges)
+    edges += [(v, h) for h, k in enumerate(hub_degrees, vertices) for v in rng.sample(range(vertices), k)]
+    return Graph(vertices + len(hub_degrees), edges)
 
 
 def assert_same_line_mpoly(g):
@@ -254,8 +253,10 @@ def test_line_mpoly_matches_line_graph_on_corpus():
     Graph(9, path_graph(6).edges),
     hub_graph(seed=2015),
     hubs_on_a_cycle(seed=2015),
+    # Profiles of 12 and 16 entries are counted pair by pair, of 17 and 40 by runs.
+    hubs_on_a_cycle(seed=7, vertices=200, hub_degrees=(12, SHORT, SHORT + 1, 40)),
 ], ids=["empty", "isolated-only", "single-edge", "star-300", "path-with-isolated", "hubs",
-        "hubs-on-a-cycle"])
+        "hubs-on-a-cycle", "hubs-of-both-profile-kinds"])
 def test_line_mpoly_edge_cases(g):
     assert_same_line_mpoly(g)
 
@@ -607,7 +608,8 @@ def reference_report_json(report):
     {},
     {"alphas": (1, 0.5, -1.5, 1e-05)},
     {"subjects": ()},
-], ids=["default", "float-alphas", "empty"])
+    {"alphas": (0.5, -1), "subjects": ("prop41", "prop42"), "m_range": (4, 6), "n_range": (2, 5)},
+], ids=["default", "float-alphas", "empty", "props-small-grid"])
 def test_report_json_matches_json_dumps(kwargs):
     report = verify_all(**kwargs)
     assert report.to_json() == reference_report_json(report)

@@ -14,7 +14,11 @@ sum its float terms with ``math.fsum``: only the last digits of some
 floats changed, each new value within 1.03 ulp of a 50-digit sum.  The
 last, ``indices`` on the irregular graph at alphas 0, -2, -0.5 and 1.5, was
 recorded before each index route came to read M2, MM2, R_alpha and
-RR_alpha from one Randic rule.
+RR_alpha from one Randic rule.  Two more pin what a shell step of CI
+checked before: the line graph of ``M_{400,300}``, whose digest is the
+benchmark's ``LINE_SHA256`` (``bench/workloads.py``), and ``indices
+--line`` on the irregular graph at alphas -2, 0, 3 and 0.5, recorded with
+every row of its agreement true.
 """
 
 import hashlib
@@ -56,6 +60,11 @@ GOLDENS = [
     (["indices", "--from-file", IRREGULAR, "--alpha", "0", "--alpha=-2", "--alpha=-0.5",
       "--alpha", "1.5", "--format", "json"], 0,
      "e33a1da2bfd94d8b4b829fcda36a65adf0205616ab0ad946e3ff3cbe73640eeb"),
+    (["line", "--m", "400", "--n", "300"], 0,
+     "0646bd9b1e5cf9a76967d114854053fd4a938d7690b60d79375ca6a40bc209c7"),
+    (["indices", "--from-file", IRREGULAR, "--line", "--alpha=-2", "--alpha", "0", "--alpha", "3",
+      "--alpha", "0.5", "--format", "json"], 0,
+     "29ebfc6fe083e294dc5766560a4c48540f9ec56cf0f23d8b297784ab575822ba"),
 ]
 
 

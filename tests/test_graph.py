@@ -215,20 +215,26 @@ def test_edgelist_format():
                          ids=["no-edges", "path", "star", "cycle", "ladder", "irregular"])
 def test_canonical_text_and_only_it_is_read_in_bulk(monkeypatch, g):
     # json.loads reads the ids of a canonical text only; the same graph with
-    # a CRLF header line or a blank line before its header is read line by line.
+    # a CRLF header line, a blank line before its header, CRLF between blank
+    # lines with + ids and no final newline, or blanks before its header and
+    # CR line ends, is read line by line.
     calls = []
     loads = mladder.graph.json.loads
     monkeypatch.setattr(mladder.graph.json, "loads", lambda s: calls.append(s) or loads(s))
     text = g.to_edgelist()
     assert Graph.from_edgelist(text) == g
     assert len(calls) == 1
-    for other in (text.replace("\n", "\r\n", 1), "\n" + text):
+    head, *body = text.splitlines()
+    for other in (text.replace("\n", "\r\n", 1), "\n" + text,
+                  "\r\n\r\n".join([head] + ["+" + line for line in body]),
+                  "\n\n   \n" + text.replace("\n", "\r")):
         assert Graph.from_edgelist(other) == g
     assert len(calls) == 1
-    # Every edge line written "v u" is still the bulk form; Graph(...) flips the pairs.
-    head, *body = text.splitlines()
+    # Every edge line written "v u" is still the bulk form; Graph(...) flips the
+    # pairs.  With CRLF ends it is read line by line, to the same graph.
     reversed_lines = "\n".join([head, *(" ".join(line.split()[::-1]) for line in body), ""])
     assert Graph.from_edgelist(reversed_lines) == g
+    assert Graph.from_edgelist(reversed_lines.replace("\n", "\r\n")) == g
     assert len(calls) == 2
 
 

@@ -20,6 +20,7 @@ from mladder import (
     indices_from_mpoly,
     normalize_alpha,
     values_equal,
+    verify_all,
 )
 from mladder.indices import check_alpha_digits
 
@@ -121,6 +122,20 @@ def test_edge_route_refuses_alphas_too_large_to_print():
     with pytest.raises(ValueError, match=r"more than the limit of \d+ digits"):
         check_alpha_digits([10**400], 144)
     check_alpha_digits([10**400], 1)
+
+
+@pytest.mark.parametrize("alpha", [10**5000, -10**5000], ids=["positive", "negative"])
+@pytest.mark.parametrize("refuse", [
+    lambda a: check_alpha_digits([a], 2),
+    lambda a: indices_from_edges(build_ladder(4, 3), [a]),
+    lambda a: verify_all([a], ("prop41",), (4, 4), (2, 2)),
+], ids=["check", "edges", "verify"])
+def test_alpha_too_long_to_print_is_refused_by_its_size(refuse, alpha):
+    # str() of such an alpha raises, so the refusal names it by sign and size.
+    sign = "a negative" if alpha < 0 else "an"
+    with pytest.raises(ValueError, match=f"^{sign} alpha of more than [0-9]+ digits is too large "
+                                         "for exact arithmetic"):
+        refuse(alpha)
 
 
 def test_operator_route_refuses_alphas_too_large_to_print():
