@@ -32,8 +32,8 @@ one rounded term per entry of its own tally (compare with a relative
 tolerance of 1e-12); each route raises ``OverflowError`` itself when that
 sum is not finite, so no infinite index is ever returned.
 Each route normalizes and checks its alphas with :func:`check_alpha_digits`
-before it raises anything to a power: a bool alpha is refused, a float
-alpha must be finite, and an integer one small enough to print its values.
+before it raises anything to a power: an alpha must be an int or a float,
+a float alpha finite, and an integer one small enough to print its values.
 The check computes no index value, so the routes still share no summation
 code.
 """
@@ -87,8 +87,11 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> li
     which also bounds the work; the message names the bound rounded up,
     and an alpha too long to print itself by its sign and that limit.
 
-    A bool alpha is refused with ``ValueError``, as ``MPoly`` and ``Graph``
-    refuse bool exponents and ids: it would key a Randic value as ``True``.
+    An alpha that is not an int or a float is refused with ``ValueError``
+    naming its type.  A bool would key a Randic value as ``True`` (``MPoly``
+    and ``Graph`` refuse bool exponents and ids too); ``Fraction(2)`` would
+    take the float path at an integer value, and a ``Decimal`` or a ``str``
+    would fail in the power itself.
     A float alpha must be finite, or ``ValueError`` is raised whatever
     ``base`` is: ``nan`` or ``inf`` would make every Randic value ``nan``
     or infinite, and no verdict could be read from them.  A finite float
@@ -99,8 +102,8 @@ def check_alpha_digits(alphas: Iterable[Alpha], base: int, terms: int = 1) -> li
     """
     alphas = [normalize_alpha(a) for a in alphas]
     for a in alphas:
-        if isinstance(a, bool):
-            raise ValueError(f"alpha must be an int or a float, not a bool, got {a!r}")
+        if type(a) not in (int, float):
+            raise ValueError(f"alpha must be an int or a float, not a {type(a).__name__}, got {a!r}")
         if isinstance(a, float) and not math.isfinite(a):
             raise ValueError(f"alpha must be finite, got {a!r}")
     # 0 (no limit) would let one flag take unbounded time; keep the default.

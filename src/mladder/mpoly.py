@@ -71,7 +71,7 @@ class MPoly:
         derivative reading demands; a negative weight on a zero exponent
         raises :class:`ZeroExponentWeight` because no finite value exists.
         """
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if not (type(a) is int and type(b) is int):  # bools are refused, as in exponents
             raise TypeError("weight exponents must be integers")
         acc: dict[tuple[int, int], Fraction] = {}
         for (i, j), coefficient in self._terms.items():

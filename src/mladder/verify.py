@@ -188,6 +188,8 @@ def table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
 def _check_ranges(m_range: Range, n_range: Range) -> None:
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
+    if any(type(bound) is not int for bound in (m_lo, m_hi, n_lo, n_hi)):
+        raise InvalidParams(f"range bounds must be integers; got m {m_range}, n {n_range}")
     if m_lo > m_hi or n_lo > n_hi:
         raise InvalidParams(f"empty range: m {m_range}, n {n_range}")
     if m_lo < MIN_M or n_lo < MIN_N:
@@ -246,9 +248,10 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
     built once and its line graph at most once, then shared by every
     subject at that point; nothing is kept from one point to the next.
 
-    Before anything is built the alphas are checked once: a bool or a
-    non-finite float alpha raises ``ValueError``, so even a theorem-only
-    run refuses it.  Unknown subjects, empty ranges, ranges below the
+    Before anything is built the alphas are checked once: an alpha that is
+    not an int or a float, or a non-finite float, raises ``ValueError``, so
+    even a theorem-only run refuses it.  Unknown subjects, range bounds
+    that are not ints (bools included), empty ranges, ranges below the
     generator's domain and a grid over the edge budget raise
     ``InvalidParams``.  Each index producer then normalizes the alphas and
     keeps each once, in first-occurrence order, and no alphas give no

@@ -3,7 +3,6 @@
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from mladder import (
@@ -16,31 +15,15 @@ from mladder import (
     verify_all,
 )
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import EXACT_ALPHAS, FLOAT_ALPHAS, corpus
 
 THM31_GRID = [(m, n) for m in range(4, 13) for n in range(3, 11)]
 THM32_GRID = [(m, n) for m in range(4, 11) for n in range(4, 11)]
-EXACT_ALPHAS = (-2, -1, 0, 1, 2)
-FLOAT_ALPHAS = (-0.5, 0.5)
 
 
 def _report(num, label, ok):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {label}")
     assert ok, f"criterion {num}: {label}"
-
-
-@lru_cache(maxsize=1)
-def corpus():
-    graphs = []
-    for m in range(4, 13):
-        for n in range(2, 11):
-            g = build_ladder(m, n)
-            graphs.append(g)
-            graphs.append(g.line_graph())
-    graphs += [path_graph(k) for k in range(2, 11)]
-    graphs += [cycle_graph(k) for k in range(3, 11)]
-    graphs += [star_graph(k) for k in range(3, 7)]
-    return graphs
 
 
 def test_criterion_1_ladder_mpoly_closed_form():

@@ -20,29 +20,12 @@ from mladder.ladder import MIN_M, MIN_N
 from mladder.verify import SUBJECT_GROUPS
 
 
-def test_thm31_substitution():
-    assert thm31_mpoly(7, 3).terms == {
-        (3, 3): Fraction(12),
-        (3, 4): Fraction(12),
-        (4, 4): Fraction(6),
-    }
-
-
 def test_thm31_keeps_negative_coefficient_at_n2():
     # at n = 2 the last coefficient goes negative; emitted verbatim
     assert thm31_mpoly(5, 2).terms == {
         (3, 3): Fraction(8),
         (3, 4): Fraction(8),
         (4, 4): Fraction(-4),
-    }
-
-
-def test_thm32_substitution():
-    assert thm32_mpoly(5, 6).terms == {
-        (4, 4): Fraction(8),
-        (4, 5): Fraction(16),
-        (5, 6): Fraction(24),
-        (6, 6): Fraction(72),
     }
 
 

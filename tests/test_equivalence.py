@@ -44,10 +44,10 @@ from mladder import Graph, MPoly, indices_from_edges, normalize_alpha, verify_al
 from mladder.graph import _SHORT_PROFILE as SHORT
 from mladder.verify import CaseResult, VerificationReport, json_value
 
-from conftest import path_graph, star_graph
-from test_acceptance import EXACT_ALPHAS, FLOAT_ALPHAS, corpus
+from conftest import (EXACT_ALPHAS, FLOAT_ALPHAS, HUGE_ID, corpus, edgelist_texts, path_graph,
+                      simple_graphs, star_graph)
 
-ALPHAS = EXACT_ALPHAS + FLOAT_ALPHAS + (1.5, -2.25, 3.0)
+ALPHAS = EXACT_ALPHAS + FLOAT_ALPHAS + (1.5, -2.25, 3.0, -3)
 
 
 def reference_indices(g, alphas):
@@ -163,16 +163,6 @@ def assert_same_indices(g, alphas):
                 assert values[a] == w
 
 
-def test_edge_sum_matches_reference_on_corpus():
-    for g in corpus():
-        assert_same_indices(g, ALPHAS)
-
-
-def test_mpoly_matches_reference_on_corpus():
-    for g in corpus():
-        assert g.m_polynomial() == reference_mpoly(g)
-
-
 def staircase_graph(k):
     """Vertices ``0 .. k-1``, with ``i < j`` adjacent iff ``i + j >= k``: nested
     neighbourhoods, so vertex ``i`` has degree ``i`` or ``i - 1``, and the degrees
@@ -187,33 +177,22 @@ def test_staircase_has_many_distinct_degrees():
     assert len(set(STAIRCASE.degrees())) == 202
 
 
-@pytest.mark.parametrize("g", [
-    Graph(0),
-    Graph(5),
-    Graph(9, path_graph(6).edges),
-    Graph(10**6, [(0, 1), (1, 2), (2, 3)]),
-    STAIRCASE,
-], ids=["empty", "isolated-only", "path-with-isolated", "few-edges-many-vertices", "staircase"])
-def test_tallies_match_reference_edge_cases(g):
-    assert g.m_polynomial() == reference_mpoly(g)
-    assert_same_indices(g, (-1, 0, 1, 2, 0.5))
-
-
-@pytest.mark.parametrize("g", [
-    hub_graph(seed=2015),
-    hub_graph(seed=2015, vertices=400, background_edges=600, hubs=3, hub_degree=40).line_graph(),
-], ids=["hubs", "hubs-line"])
-def test_edge_sum_matches_reference_over_large_common_denominator(g):
+@pytest.mark.parametrize("graphs", [
+    corpus(),
+    [Graph(0)],
+    [Graph(5)],
+    [Graph(9, path_graph(6).edges)],
+    [Graph(10**6, [(0, 1), (1, 2), (2, 3)])],
+    [STAIRCASE],
     # 67 and 167 distinct degree products, whose lcm has 9 and 21 digits.
-    assert_same_indices(g, range(-3, 4))
-
-
-@st.composite
-def simple_graphs(draw):
-    k = draw(st.integers(2, 14))
-    pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(lambda e: e[0] != e[1])
-    edges = draw(st.lists(pairs, max_size=40, unique_by=lambda e: (min(e), max(e))))
-    return Graph(k, edges)
+    [hub_graph(seed=2015)],
+    [hub_graph(seed=2015, vertices=400, background_edges=600, hubs=3, hub_degree=40).line_graph()],
+], ids=["corpus", "empty", "isolated-only", "path-with-isolated", "few-edges-many-vertices", "staircase",
+        "hubs", "hubs-line"])
+def test_tallies_match_reference_edge_cases(graphs):
+    for g in graphs:
+        assert g.m_polynomial() == reference_mpoly(g)
+        assert_same_indices(g, ALPHAS)
 
 
 @given(simple_graphs(), st.lists(st.integers(-4, 4) | st.floats(-3, 3), min_size=1, max_size=4))
@@ -238,27 +217,24 @@ def test_degree_pair_tallies_memory_does_not_grow_with_vertex_count():
     assert peak < 256 * 1024  # one byte per vertex would already be 1e6 bytes
 
 
-def test_line_mpoly_matches_line_graph_on_corpus():
-    # The corpus holds ladders with n = 2, 3 (below the stated domain) and
-    # every ladder's line graph, so this also covers line graphs of line graphs.
-    for g in corpus():
-        assert_same_line_mpoly(g)
-
-
-@pytest.mark.parametrize("g", [
-    Graph(0),
-    Graph(5),
-    Graph(2, [(0, 1)]),
-    star_graph(300),
-    Graph(9, path_graph(6).edges),
-    hub_graph(seed=2015),
-    hubs_on_a_cycle(seed=2015),
+@pytest.mark.parametrize("graphs", [
+    # Ladders with n = 2, 3 (below the stated domain) and every ladder's
+    # line graph, so line graphs of line graphs too.
+    corpus(),
+    [Graph(0)],
+    [Graph(5)],
+    [Graph(2, [(0, 1)])],
+    [star_graph(300)],
+    [Graph(9, path_graph(6).edges)],
+    [hub_graph(seed=2015)],
+    [hubs_on_a_cycle(seed=2015)],
     # Profiles of 12 and 16 entries are counted pair by pair, of 17 and 40 by runs.
-    hubs_on_a_cycle(seed=7, vertices=200, hub_degrees=(12, SHORT, SHORT + 1, 40)),
-], ids=["empty", "isolated-only", "single-edge", "star-300", "path-with-isolated", "hubs",
+    [hubs_on_a_cycle(seed=7, vertices=200, hub_degrees=(12, SHORT, SHORT + 1, 40))],
+], ids=["corpus", "empty", "isolated-only", "single-edge", "star-300", "path-with-isolated", "hubs",
         "hubs-on-a-cycle", "hubs-of-both-profile-kinds"])
-def test_line_mpoly_edge_cases(g):
-    assert_same_line_mpoly(g)
+def test_line_mpoly_edge_cases(graphs):
+    for g in graphs:
+        assert_same_line_mpoly(g)
 
 
 def test_line_mpoly_memory_does_not_grow_with_vertex_count():
@@ -363,13 +339,6 @@ def test_constructor_accepts_and_rejects_like_reference(case):
     assert (g.edges, g.degrees()) == want
 
 
-@given(simple_graphs())
-def test_constructor_matches_reference_on_valid_graphs(g):
-    reversed_edges = [(v, u) for u, v in reversed(g.edges)]
-    assert (Graph(g.vertex_count, reversed_edges).edges, g.degrees()) == \
-        reference_graph(g.vertex_count, reversed_edges)
-
-
 @pytest.mark.parametrize("edges,message", [
     ([(0, 1), (2, 2)], "self-loop at vertex 2"),
     ([(0, 1), (1, 0)], r"parallel edge \(0, 1\)"),
@@ -379,6 +348,8 @@ def test_constructor_matches_reference_on_valid_graphs(g):
     ([(0, 1), (0, "a")], r"vertex identifiers must be integers, got \(0, 'a'\)"),
     ([("a", "b")], r"vertex identifiers must be integers, got \('a', 'b'\)"),
     (iter([(0, 1), ("a", 2)]), r"vertex identifiers must be integers, got \('a', 2\)"),
+    ([(True, 2), (0, 1)], r"vertex identifiers must be integers, got \(True, 2\)"),
+    ([(0, False)], r"vertex identifiers must be integers, got \(0, False\)"),
 ])
 def test_constructor_messages(edges, message):
     with pytest.raises(ValueError, match=message):
@@ -391,9 +362,13 @@ def flipped(edges):
 
 @given(simple_graphs())
 def test_orientation_builds_equal_graphs(g):
-    # Every orientation, and edges given as lists, go through the one normalisation.
-    assert Graph(g.vertex_count, g.edges) == Graph(g.vertex_count, flipped(g.edges)) == g
-    as_lists = Graph(g.vertex_count, [list(e) for e in g.edges])
+    # Every orientation and order, and edges given as lists, go through the
+    # one normalisation, to the reference's edges and degrees.
+    k, backwards = g.vertex_count, flipped(reversed(g.edges))
+    built = Graph(k, backwards)
+    assert (built.edges, built.degrees()) == reference_graph(k, backwards)
+    assert Graph(k, g.edges) == Graph(k, flipped(g.edges)) == built == g
+    as_lists = Graph(k, [list(e) for e in g.edges])
     assert as_lists == g and all(type(e) is tuple for e in as_lists.edges)
 
 
@@ -455,42 +430,6 @@ def assert_parses_like_per_line(text):
         assert str(got.value) == str(exc)
         return
     assert Graph.from_edgelist(text) == want
-
-
-HUGE_ID = "1" * 5000  # past int()'s default limit of 4300 digits
-
-
-@st.composite
-def messy_edgelist_texts(draw):
-    """Edge-list text, canonical or not: ids in int()'s other spellings, other
-    blanks and line ends, blank lines, wrong counts, no final newline."""
-    number = st.integers(0, 9).map(str) | st.sampled_from(["+1", "1_0", "007", "-1", "x", HUGE_ID])
-    pairs = draw(st.lists(st.tuples(number, number), max_size=8))
-    declared = draw(st.sampled_from([str(len(pairs)), "0", "3", "+2", HUGE_ID]))
-    blank = st.sampled_from([" ", "\t", "  "])
-    end = draw(st.sampled_from(["\n", "\r\n", "\n\n", "\n \n"]))
-    lines = [f"p {draw(st.sampled_from(['10', '4', '010']))} {declared}"]
-    lines += [f"{u}{draw(blank)}{v}" for u, v in pairs]
-    return end.join(lines) + draw(st.sampled_from([end, ""]))
-
-
-@st.composite
-def zero_padded_edgelist_texts(draw):
-    """Canonical text of a graph with one id, or the header's vertex count,
-    written with a leading zero: canonical in form, but refused by the JSON
-    read, so only the fallback to the per-line parser reads it."""
-    lines = draw(simple_graphs()).to_edgelist().splitlines()
-    row = draw(st.integers(0, len(lines) - 1))
-    fields = lines[row].split(" ")
-    column = draw(st.integers(1 if row == 0 else 0, len(fields) - 1))
-    fields[column] = "0" + fields[column]
-    lines[row] = " ".join(fields)
-    return "\n".join(lines) + "\n"
-
-
-def edgelist_texts():
-    """Edge-list text of either kind above, each about half the time."""
-    return messy_edgelist_texts() | zero_padded_edgelist_texts()
 
 
 @st.composite
@@ -579,13 +518,6 @@ PARSER_CASE_IDS = ["crlf", "blank-lines", "tab", "plus-sign", "underscore", "lea
 @pytest.mark.parametrize("text", PARSER_CASES, ids=PARSER_CASE_IDS)
 def test_edgelist_cases_parse_like_per_line(text):
     assert_parses_like_per_line(text)
-
-
-def test_bool_vertex_ids_are_rejected():
-    with pytest.raises(ValueError, match="vertex identifiers must be integers"):
-        Graph(3, [(True, 2), (0, 1)])
-    with pytest.raises(ValueError, match="vertex identifiers must be integers"):
-        Graph(3, [(0, False)])
 
 
 def reference_report_json(report):

@@ -22,13 +22,14 @@ every row of its agreement true.
 """
 
 import hashlib
-from pathlib import Path
 
 import pytest
 
 from mladder.cli import main
 
-IRREGULAR = str(Path(__file__).parent / "data" / "irregular.edgelist")
+from conftest import IRREGULAR_FILE
+
+IRREGULAR = str(IRREGULAR_FILE)
 
 GOLDENS = [
     (["verify"], 3,

@@ -13,9 +13,7 @@ import mladder.graph
 from mladder import Graph, build_ladder
 from mladder.graph import MAX_SIZE
 
-from conftest import cycle_graph, path_graph, star_graph
-from test_equivalence import simple_graphs
-from test_indices import IRREGULAR
+from conftest import IRREGULAR, cycle_graph, path_graph, simple_graphs, star_graph
 
 
 def test_path_basics():
@@ -29,16 +27,6 @@ def test_path_basics():
 def test_mpoly_of_path():
     p = path_graph(4).m_polynomial()
     assert p.terms == {(1, 2): Fraction(2), (2, 2): Fraction(1)}
-
-
-def test_rejects_self_loop():
-    with pytest.raises(ValueError, match="self-loop"):
-        Graph(3, [(0, 0)])
-
-
-def test_rejects_parallel_edge():
-    with pytest.raises(ValueError, match="parallel"):
-        Graph(3, [(0, 1), (1, 0)])
 
 
 def test_rejects_out_of_range_vertex():
@@ -201,11 +189,6 @@ def test_line_graph_within_its_edge_budget_is_within_the_vertex_limit(g, extra):
             assert base.edge_count <= k and line.vertex_count <= k and line.edge_count <= k
 
 
-def test_edgelist_round_trip():
-    g = cycle_graph(5)
-    assert Graph.from_edgelist(g.to_edgelist()) == g
-
-
 def test_edgelist_format():
     assert path_graph(3).to_edgelist() == "p 3 2\n0 1\n1 2\n"
 
@@ -273,44 +256,6 @@ def test_from_edgelist_rejects_malformed():
     assert Graph.from_edgelist("p 21 2\n 0   +1 \n\n1\t2_0\n").edges == ((0, 1), (1, 20))
 
 
-edge_sets = st.integers(2, 12).flatmap(
-    lambda k: st.tuples(
-        st.just(k),
-        st.sets(
-            st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).map(
-                lambda e: (min(e), max(e))
-            ).filter(lambda e: e[0] != e[1]),
-            max_size=20,
-        ),
-    )
-)
-
-
-@st.composite
-def graphs(draw):
-    k, edges = draw(edge_sets)
-    return Graph(k, sorted(edges))
-
-
-@given(graphs())
-def test_handshake(g):
-    assert sum(g.degrees()) == 2 * g.edge_count
-
-
-@given(graphs())
-def test_line_graph_size_law(g):
-    line = g.line_graph()
-    assert line.vertex_count == g.edge_count
-    assert line.edge_count == sum(comb(d, 2) for d in g.degrees())
-
-
-@given(graphs())
-def test_line_graph_degree_transfer(g):
-    d, line_d = g.degrees(), g.line_graph().degrees()
-    for idx, (u, v) in enumerate(g.edges):
-        assert line_d[idx] == d[u] + d[v] - 2
-
-
 def line_graph_by_definition(g):
     """L(g) as defined: one vertex per edge of g (in g.edges order), and two of
     them adjacent iff their edges share an endpoint, every pair looked at."""
@@ -318,7 +263,7 @@ def line_graph_by_definition(g):
     return Graph(g.edge_count, pairs)
 
 
-@given(graphs())
+@given(simple_graphs())
 def test_line_graph_matches_its_definition(g):
     assert g.line_graph() == line_graph_by_definition(g)
 
@@ -355,18 +300,6 @@ def test_any_line_graph_matches_the_validating_constructor(g):
     assert_matches_validating_constructor(g.line_graph())
 
 
-@given(graphs())
-def test_partition_counts_every_edge(g):
-    partition = g.m_polynomial().terms
-    assert sum(partition.values()) == g.edge_count
-    assert all(i <= j for i, j in partition)
-
-
-@given(graphs())
-def test_mpoly_eval_at_one_counts_edges(g):
-    assert g.m_polynomial().eval_at_one() == g.edge_count
-
-
-@given(graphs())
+@given(simple_graphs())
 def test_edgelist_round_trip_any(g):
     assert Graph.from_edgelist(g.to_edgelist()) == g

@@ -5,7 +5,6 @@ import time
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -24,9 +23,7 @@ from mladder import (
 )
 from mladder.indices import check_alpha_digits
 
-from conftest import cycle_graph, path_graph, star_graph
-from test_acceptance import corpus
-from test_equivalence import simple_graphs
+from conftest import IRREGULAR, corpus, cycle_graph, path_graph, simple_graphs, star_graph
 
 
 def test_path_hand_values():
@@ -229,37 +226,15 @@ def test_paired_rows_follow_the_results_own_alphas():
     assert all(here == there for _, here, there in rows)
 
 
-small_graphs = st.sampled_from(
-    [path_graph(k) for k in range(2, 9)]
-    + [cycle_graph(k) for k in range(3, 9)]
-    + [star_graph(k) for k in range(3, 7)]
-)
-int_alphas = st.integers(-3, 3)
+def assert_routes_agree(g, p, alphas):
+    """Every index of ``g`` by edge sums equals that of its M-polynomial ``p`` by operators."""
+    rows = indices_from_edges(g, alphas).paired(indices_from_mpoly(p, alphas))
+    assert [label for label, here, there in rows if not values_equal(here, there)] == []
 
 
-@given(small_graphs, int_alphas)
-def test_routes_agree_exactly_for_integer_alpha(g, a):
-    from_edges = indices_from_edges(g, alphas=(a,))
-    from_mpoly = indices_from_mpoly(g.m_polynomial(), alphas=(a,))
-    assert from_edges == from_mpoly
-
-
-@given(small_graphs)
-def test_routes_agree_closely_for_half_integer_alpha(g):
-    from_edges = indices_from_edges(g, alphas=(0.5, -0.5))
-    from_mpoly = indices_from_mpoly(g.m_polynomial(), alphas=(0.5, -0.5))
-    assert from_edges.m1 == from_mpoly.m1
-    for a in (0.5, -0.5):
-        assert from_edges.r_alpha[a] == pytest.approx(from_mpoly.r_alpha[a], rel=1e-12)
-        assert from_edges.rr_alpha[a] == pytest.approx(from_mpoly.rr_alpha[a], rel=1e-12)
-
-
-@given(st.integers(4, 9), st.integers(2, 6))
-def test_m1_equals_degree_square_sum(m, n):
-    # Σ(d_u + d_v) over edges equals Σ d² over vertices
-    g = build_ladder(m, n)
-    s = indices_from_edges(g)
-    assert s.m1 == sum(d * d for d in g.degrees())
+@given(simple_graphs(), st.lists(st.integers(-3, 3) | st.sampled_from([0.5, -0.5]), max_size=3))
+def test_routes_agree(g, alphas):
+    assert_routes_agree(g, g.m_polynomial(), alphas)
 
 
 # Large enough that a sum of one float per edge drifts past REL_TOL = 1e-12:
@@ -267,7 +242,6 @@ def test_m1_equals_degree_square_sum(m, n):
 LADDER_300 = build_ladder(300, 300)
 LADDER_100 = build_ladder(100, 100)
 LINE_100 = LADDER_100.line_graph()
-IRREGULAR = Graph.from_edgelist((Path(__file__).parent / "data" / "irregular.edgelist").read_text())
 
 
 @pytest.mark.parametrize("g,p", [
@@ -275,9 +249,7 @@ IRREGULAR = Graph.from_edgelist((Path(__file__).parent / "data" / "irregular.edg
     (LINE_100, LADDER_100.line_m_polynomial()),
 ], ids=["ladder-300-300", "line-of-ladder-100-100"])
 def test_routes_agree_on_large_graphs_at_non_integer_alpha(g, p):
-    alphas = (0.3, 1.7, -0.5)
-    rows = indices_from_edges(g, alphas).paired(indices_from_mpoly(p, alphas))
-    assert [label for label, here, there in rows if not values_equal(here, there)] == []
+    assert_routes_agree(g, p, (0.3, 1.7, -0.5))
 
 
 def exact_randic(g, alpha):

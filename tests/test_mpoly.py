@@ -39,6 +39,13 @@ def test_weight_by_multiplies_coefficients():
     assert p.weight_by(-1, -1).terms == {(3, 4): Fraction(2, 12)}
 
 
+def test_weight_by_refuses_weights_that_are_not_ints():
+    # A bool is refused, as it is as an exponent.
+    for a, b in ((True, 1), (1, False), (1.0, 0)):
+        with pytest.raises(TypeError, match="^weight exponents must be integers$"):
+            MPoly({(1, 2): 3}).weight_by(a, b)
+
+
 def test_weight_by_zero_exponent():
     p = MPoly({(0, 2): 3, (1, 2): 1})
     # positive weight on a zero exponent annihilates the term

@@ -39,3 +39,19 @@ def test_modules_import_only_public_names_from_each_other():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_test_modules_import_no_other_test_module():
+    # Inputs that two test modules share live in conftest.py, so an import
+    # error in one test module fails that module alone.
+    tests = ROOT / "tests"
+    test_modules = {path.stem for path in tests.glob("test_*.py")}
+    imports = [
+        f"{path.name}: {name}"
+        for path in sorted(tests.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names] if isinstance(node, ast.Import) else [])
+        if name in test_modules
+    ]
+    assert imports == []

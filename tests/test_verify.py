@@ -1,4 +1,6 @@
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -92,13 +94,6 @@ def test_cases_are_sorted():
     assert keys == sorted(keys)
 
 
-def test_report_is_deterministic():
-    a = verify_all(alphas=(1, -1, 0.5))
-    b = verify_all(alphas=(1, -1, 0.5))
-    assert a.to_json() == b.to_json()
-    assert a.to_text() == b.to_text()
-
-
 def test_json_shape():
     report = verify_all(subjects=("thm31",), m_range=(5, 5), n_range=(3, 3))
     data = json.loads(report.to_json())
@@ -157,13 +152,14 @@ def test_non_finite_float_is_not_rendered(value):
         report.to_text()
 
 
-def test_rejects_bad_ranges():
-    with pytest.raises(InvalidParams):
-        verify_all(subjects=("thm31",), m_range=(6, 4), n_range=(3, 3))
-    with pytest.raises(InvalidParams):
-        verify_all(subjects=("thm31",), m_range=(3, 5), n_range=(3, 3))
-    with pytest.raises(InvalidParams):
-        verify_all(subjects=("thm32",), m_range=(4, 4), n_range=(1, 4))
+def test_rejects_bad_ranges(monkeypatch):
+    # A bound that is not an int is refused before anything is built, not by range().
+    refuse_to_build(monkeypatch)
+    for subject, m_range, n_range in [("thm31", (6, 4), (3, 3)), ("thm31", (3, 5), (3, 3)),
+                                      ("thm32", (4, 4), (1, 4)), ("thm31", (4.0, 5), (2, 2)),
+                                      ("thm31", (4, 5), (2, 3.0))]:
+        with pytest.raises(InvalidParams):
+            verify_all((1,), (subject,), m_range, n_range)
 
 
 def test_duplicate_alphas_are_checked_once():
@@ -221,12 +217,16 @@ def test_non_finite_alpha_is_refused(monkeypatch, produce, alpha):
         produce(alpha)
 
 
-@pytest.mark.parametrize("alpha", [True, False], ids=repr)
+@pytest.mark.parametrize("alpha", [True, False, Fraction(2), Fraction(1, 2), Decimal("0.5"), "1", 1j],
+                         ids=repr)
 @each_producer
 def test_bool_alpha_is_refused(monkeypatch, produce, alpha):
-    # True would key a Randic value, and label its row, as r_alpha[True].
+    # True would key a Randic value, and label its row, as r_alpha[True];
+    # Fraction(2) would give a float at an integer alpha, and a Decimal or a
+    # str would fail in the power.  Each is refused by its type, before any power.
     refuse_to_build(monkeypatch)
-    with pytest.raises(ValueError, match=f"^alpha must be an int or a float, not a bool, got {alpha}$"):
+    message = f"^alpha must be an int or a float, not a {type(alpha).__name__}, got {re.escape(repr(alpha))}$"
+    with pytest.raises(ValueError, match=message):
         produce(alpha)
 
 
