@@ -48,7 +48,7 @@ class OutOfStatedRange(ValueError):
 
 
 def _check_range(m: int, n: int, label: str) -> None:
-    if not (isinstance(m, int) and isinstance(n, int)):
+    if not (type(m) is int and type(n) is int):  # type(), so bools are refused
         raise OutOfStatedRange(f"{label}: m and n must be integers, got ({m!r}, {n!r})")
     min_n = CLAIMS[label].min_n
     if m < MIN_M or n < min_n:

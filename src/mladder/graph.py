@@ -15,15 +15,10 @@ pass; long ones, such as a hub's, are tallied by runs of equal degrees,
 whose pairs are far fewer.  Every edge-list text is read by one scan for
 its non-blank lines, whatever the line ends: the first is its header,
 checked against the limit before any later line is split or parsed.  A
-text in the form that :meth:`Graph.to_edgelist` writes is recognised
-whole: it ends in LF, holds one LF more than its header declares edges
-and no CR (both found without a copy), and with its ASCII digits deleted
-is ``"p  \\n"`` and then one ``" \\n"`` per edge.  Its ids are read in bulk
-by the standard library's JSON number scanner.  Any other text, and one
-with an id JSON refuses (a leading zero, or past ``int()``'s digit limit),
-goes on line by line from the same scan, which keeps no more lines than
-the header declares, only counts any further ones, and names the
-offending line.
+text in the canonical form, the one :meth:`Graph.to_edgelist` writes, has
+its ids read in bulk by the standard library's JSON number scanner; any
+other goes on line by line from the same scan.  :meth:`Graph.from_edgelist`
+states what the canonical form is and how it is told.
 
 Each input is checked once, where it enters.  ``Graph(vertex_count,
 edges)`` is the constructor for edges from outside the program, a library
@@ -98,9 +93,8 @@ class Graph:
         # it came as, and only a flipped edge or a list becomes a new tuple.
         # On the sorted list a loop is an edge that is not strictly ordered,
         # and a duplicate is equal to its sorted neighbour.
-        if not all(type(u) is int and type(v) is int for u, v in edges):
-            u, v = next((u, v) for u, v in edges if type(u) is not int or type(v) is not int)
-            raise ValueError(f"vertex identifiers must be integers, got ({u!r}, {v!r})")
+        if bad := next(((u, v) for u, v in edges if type(u) is not int or type(v) is not int), None):
+            raise ValueError(f"vertex identifiers must be integers, got {bad!r}")
         pairs = [e if e[0] < e[1] else (e[1], e[0]) for e in map(tuple, edges)]
         pairs.sort()
         if pairs and (pairs[0][0] < 0 or max(map(itemgetter(1), pairs)) >= vertex_count):
@@ -306,13 +300,9 @@ class Graph:
             raise ValueError(f"vertex_count {vertex_count} exceeds the limit of {MAX_SIZE}")
         if edge_count > MAX_SIZE:
             raise ValueError(f"the header declares {edge_count} edges, more than the limit of {MAX_SIZE}")
-        # With its ASCII digits deleted, a canonical text is "p  \n" and then
-        # " \n" once per edge.  Its LFs are counted and a CR looked for first,
-        # which copies nothing, so a text with CRLF after every line, which
-        # also holds E + 1 LFs, is never copied; the final-LF test refuses
-        # digits after the last one.  Its header is its first line, so its
-        # body starts at len(head) + 1.  An empty id leaves two commas or a
-        # bracket next to a comma, which JSON refuses.
+        # The LFs are counted and a CR looked for before the digits are
+        # deleted, which copies nothing, so a text with CRLF after every line,
+        # which also holds E + 1 LFs, is never copied.
         if (text.endswith("\n") and text.count("\n") == edge_count + 1 and "\r" not in text
                 and text.translate(_NO_DIGITS) == "p  \n" + " \n" * edge_count):
             try:

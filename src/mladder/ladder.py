@@ -45,7 +45,7 @@ def build_ladder(m: int, n: int) -> Graph:
     refused before any edge is generated.  Its vertex count, ``(m-1)*n``, is
     smaller.
     """
-    if not (isinstance(m, int) and isinstance(n, int)):
+    if not (type(m) is int and type(n) is int):  # type(), so bools are refused
         raise InvalidParams(f"m and n must be integers, got ({m!r}, {n!r})")
     if m < MIN_M or n < MIN_N:
         raise InvalidParams(f"need m >= {MIN_M} and n >= {MIN_N}, got (m={m}, n={n})")

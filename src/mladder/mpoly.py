@@ -25,31 +25,26 @@ class ZeroExponentWeight(ValueError):
     """A negative degree weight was applied to a term with a zero exponent."""
 
 
-def _as_fraction(value: Coefficient) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"coefficient must be int or Fraction, got {type(value).__name__}")
-
-
 class MPoly:
     """Immutable bivariate polynomial over the rationals.
 
-    Terms are normalized on construction: coefficients are coerced to
-    ``Fraction``, zero coefficients are dropped, and terms are kept in
-    ascending ``(i, j)`` order so every iteration and rendering is
+    Terms are normalized on construction: a coefficient must be an int or
+    a ``Fraction`` by ``type()`` (so a bool raises ``TypeError``), an int
+    becomes a ``Fraction``, zero coefficients are dropped, and terms are
+    kept in ascending ``(i, j)`` order so every iteration and rendering is
     deterministic.  Two polynomials are equal iff their term mappings are.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Coefficient] = {}):  # the default is only read
-        for key in terms:
+        for key in terms:  # type(), so bools are refused in both
             i, j = key
-            if not (type(i) is int and type(j) is int) or i < 0 or j < 0:  # type(), so bools are refused
+            if not (type(i) is int and type(j) is int) or i < 0 or j < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {key!r}")
-        self._terms = {key: c for key in sorted(terms) if (c := _as_fraction(terms[key])) != 0}
+            if type(c := terms[key]) not in (int, Fraction):
+                raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+        self._terms = {key: Fraction(c) if type(c) is int else c for key in sorted(terms) if (c := terms[key])}
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:

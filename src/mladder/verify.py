@@ -186,10 +186,10 @@ def table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
 
 
 def _check_ranges(m_range: Range, n_range: Range) -> None:
-    m_lo, m_hi = m_range
-    n_lo, n_hi = n_range
-    if any(type(bound) is not int for bound in (m_lo, m_hi, n_lo, n_hi)):
-        raise InvalidParams(f"range bounds must be integers; got m {m_range}, n {n_range}")
+    # Each range's kind is checked before it is unpacked; type(), so bools are refused.
+    if not all(type(r) in (tuple, list) and list(map(type, r)) == [int, int] for r in (m_range, n_range)):
+        raise InvalidParams(f"ranges must be pairs of integers; got m {m_range!r}, n {n_range!r}")
+    (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
     if m_lo > m_hi or n_lo > n_hi:
         raise InvalidParams(f"empty range: m {m_range}, n {n_range}")
     if m_lo < MIN_M or n_lo < MIN_N:
@@ -248,14 +248,15 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
     built once and its line graph at most once, then shared by every
     subject at that point; nothing is kept from one point to the next.
 
-    Before anything is built the alphas are checked once: an alpha that is
-    not an int or a float, or a non-finite float, raises ``ValueError``, so
-    even a theorem-only run refuses it.  Unknown subjects, range bounds
-    that are not ints (bools included), empty ranges, ranges below the
+    Every argument is checked before anything is built, each kind by
+    ``type()``, so a bool is never read as 0 or 1.  An alpha that is not an
+    int or a float, or a non-finite float, raises ``ValueError``, so even a
+    theorem-only run refuses it.  An unknown subject, a range that is not a
+    pair (tuple or list) of ints, an empty range, a range below the
     generator's domain and a grid over the edge budget raise
-    ``InvalidParams``.  Each index producer then normalizes the alphas and
-    keeps each once, in first-occurrence order, and no alphas give no
-    Randic rows.
+    ``InvalidParams``; a range is checked before it is unpacked.  Each
+    index producer then normalizes the alphas and keeps each once, in
+    first-occurrence order, and no alphas give no Randic rows.
     """
     alphas = check_alpha_digits(alphas, 1)  # read once: every grid point passes them on again
     grids: dict[str, tuple[Range, Range]] = {}
@@ -263,7 +264,8 @@ def verify_all(alphas: Iterable[Alpha] = (1,),
         if subject not in CLAIMS:
             raise InvalidParams(f"unknown subject {subject!r}; expected one of {', '.join(CLAIMS)}")
         m_max, n_max = CLAIMS[subject].grid_max
-        grids[subject] = (m_range or (MIN_M, m_max), n_range or (CLAIMS[subject].min_n, n_max))
+        grids[subject] = ((MIN_M, m_max) if m_range is None else m_range,
+                          (CLAIMS[subject].min_n, n_max) if n_range is None else n_range)
         _check_ranges(*grids[subject])
     _check_budget(grids)
     cases: list[CaseResult] = []

@@ -48,6 +48,9 @@ def test_stated_ranges_are_enforced(label):
         with pytest.raises(OutOfStatedRange, match=f"^{label} is stated for m >= {MIN_M}, "
                                                    f"n >= {claim.min_n}; got \\(m={m}, n={n}\\)$"):
             form(m, n)
+    for m, n in ((True, claim.min_n), (MIN_M, True)):  # by type(), so a bool is not read as 1
+        with pytest.raises(OutOfStatedRange, match="must be integers"):
+            form(m, n)
     form(MIN_M, claim.min_n)
     report = verify_all(subjects=(label,), m_range=(MIN_M, MIN_M), n_range=(MIN_N, claim.min_n))
     assert {c.n for c in report.cases} == set(range(MIN_N, claim.min_n + 1))

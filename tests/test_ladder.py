@@ -51,6 +51,9 @@ def test_rejects_small_parameters():
         build_ladder(4, 1)
     with pytest.raises(InvalidParams):
         build_ladder(4.5, 3)
+    for m, n in ((True, 5), (5, True)):  # by type(), so a bool is not read as 1
+        with pytest.raises(InvalidParams, match="must be integers"):
+            build_ladder(m, n)
 
 
 def test_boundary_vertices_form_single_cycle():

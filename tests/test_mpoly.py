@@ -31,6 +31,13 @@ def test_rejects_bad_exponents():
             MPoly({key: 1})
 
 
+def test_rejects_coefficients_that_are_not_int_or_fraction():
+    # By type(), so a bool is refused rather than read as 1 or 0.
+    for c in (True, False, 1.5, "1"):
+        with pytest.raises(TypeError, match=f"^coefficient must be int or Fraction, got {type(c).__name__}$"):
+            MPoly({(1, 2): c})
+
+
 def test_weight_by_multiplies_coefficients():
     p = MPoly({(3, 4): 2})
     assert p.weight_by(1, 0).terms == {(3, 4): Fraction(6)}

@@ -153,11 +153,13 @@ def test_non_finite_float_is_not_rendered(value):
 
 
 def test_rejects_bad_ranges(monkeypatch):
-    # A bound that is not an int is refused before anything is built, not by range().
+    # A range that is not a pair of ints is refused before it is unpacked and
+    # before anything is built, not by range().
     refuse_to_build(monkeypatch)
     for subject, m_range, n_range in [("thm31", (6, 4), (3, 3)), ("thm31", (3, 5), (3, 3)),
                                       ("thm32", (4, 4), (1, 4)), ("thm31", (4.0, 5), (2, 2)),
-                                      ("thm31", (4, 5), (2, 3.0))]:
+                                      ("thm31", (4, 5), (2, 3.0)), ("thm31", 4, (2, 2)),
+                                      ("thm31", (4, 5, 6), (2, 2)), ("thm31", (), (2, 2))]:
         with pytest.raises(InvalidParams):
             verify_all((1,), (subject,), m_range, n_range)
 
