@@ -18,7 +18,7 @@ from .indices import (
     normalize_alpha,
 )
 from .ladder import InvalidParams, build_ladder
-from .mpoly import MPoly, ZeroExponentWeight
+from .mpoly import MPoly
 from .verify import (
     CaseResult,
     VerificationReport,
@@ -36,7 +36,6 @@ __all__ = [
     "MPoly",
     "OutOfStatedRange",
     "VerificationReport",
-    "ZeroExponentWeight",
     "alpha_label",
     "build_ladder",
     "indices_from_edges",

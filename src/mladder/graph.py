@@ -93,8 +93,10 @@ class Graph:
         # it came as, and only a flipped edge or a list becomes a new tuple.
         # On the sorted list a loop is an edge that is not strictly ordered,
         # and a duplicate is equal to its sorted neighbour.
-        if bad := next(((u, v) for u, v in edges if type(u) is not int or type(v) is not int), None):
-            raise ValueError(f"vertex identifiers must be integers, got {bad!r}")
+        # all(), not a filtering next(): CPython 3.11 does not warm up a generator that never yields.
+        if not all(type(u) is int and type(v) is int for u, v in edges):
+            u, v = next((u, v) for u, v in edges if type(u) is not int or type(v) is not int)
+            raise ValueError(f"vertex identifiers must be integers, got ({u!r}, {v!r})")
         pairs = [e if e[0] < e[1] else (e[1], e[0]) for e in map(tuple, edges)]
         pairs.sort()
         if pairs and (pairs[0][0] < 0 or max(map(itemgetter(1), pairs)) >= vertex_count):

@@ -220,19 +220,17 @@ def indices_from_mpoly(p: MPoly, alphas: Iterable[Alpha] = (1,)) -> IndexSet:
     and ``(-1, 1)``.  Non-integer alpha falls back to float summation over
     the terms, keeping the polynomial core exact: the correctly rounded sum
     (``math.fsum``) of one rounded term per ``(i, j)``, and one that is
-    not finite raises ``OverflowError``.  Every term must
-    have both exponents >= 1 (true of any graph's M-polynomial); otherwise
-    the negative weights raise ``ZeroExponentWeight``.  An integer alpha
-    is first refused by :func:`check_alpha_digits` when its values would
-    be too long to print.  Its ``base`` is the lcm of the nonzero products
-    ``i * j``, and its ``terms`` the lcm of the coefficients' denominators
-    times the sum of their absolute numerators.  For a graph's
-    M-polynomial ``terms`` is the edge count and ``base`` divides the edge
-    route's, so this route refuses no alpha that one accepts.
+    not finite raises ``OverflowError``.  An integer alpha is first refused
+    by :func:`check_alpha_digits` when its values would be too long to
+    print.  Its ``base`` is the lcm of the products ``i * j``, and its
+    ``terms`` the lcm of the coefficients' denominators times the sum of
+    their absolute numerators.  For a graph's M-polynomial ``terms`` is the
+    edge count and ``base`` divides the edge route's, so this route refuses
+    no alpha that one accepts.
     """
     terms = p.terms
     den = math.lcm(*(c.denominator for c in terms.values()))
-    alphas = check_alpha_digits(alphas, math.lcm(*filter(None, (i * j for i, j in terms))),
+    alphas = check_alpha_digits(alphas, math.lcm(*(i * j for i, j in terms)),
                                 den * sum(abs(c.numerator) for c in terms.values()))
 
     def R(a: Alpha) -> Real:

@@ -1,13 +1,14 @@
-"""Exact bivariate polynomials with rational coefficients.
+"""Exact M-polynomials with rational coefficients.
 
-An :class:`MPoly` is a finite mapping from exponent pairs ``(i, j)`` to
-nonzero ``fractions.Fraction`` coefficients, representing
-``sum c_ij * x^i * y^j``.  The only arithmetic the index machinery needs
-is the termwise degree weighting ``x^i y^j -> i^a * j^b * x^i y^j``, which
-realises the derivative-style operators (positive ``a``/``b``) and their
-integral-style inverses (negative ``a``/``b``) used to pull degree-based
-indices out of an M-polynomial, and evaluation at ``x = y = 1``.  All
-arithmetic is exact.
+The M-polynomial of a graph is ``sum m_ij * x^i * y^j`` over the endpoint
+degrees ``i <= j`` of its edges (Deutsch & Klavžar, 2015), so each exponent
+is a degree and at least 1.  An :class:`MPoly` is a finite mapping from such
+exponent pairs ``(i, j)`` to nonzero ``fractions.Fraction`` coefficients.
+The only arithmetic the index machinery needs is the termwise degree
+weighting ``x^i y^j -> i^a * j^b * x^i y^j``, which realises the
+derivative-style operators (positive ``a``/``b``) and their integral-style
+inverses (negative ``a``/``b``) used to pull degree-based indices out of an
+M-polynomial, and evaluation at ``x = y = 1``.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -21,18 +22,15 @@ Coefficient = Union[int, Fraction]
 RENDER_FORMATS = ("plain", "latex", "json")
 
 
-class ZeroExponentWeight(ValueError):
-    """A negative degree weight was applied to a term with a zero exponent."""
-
-
 class MPoly:
-    """Immutable bivariate polynomial over the rationals.
+    """Immutable M-polynomial over the rationals: exponents are degrees.
 
-    Terms are normalized on construction: a coefficient must be an int or
-    a ``Fraction`` by ``type()`` (so a bool raises ``TypeError``), an int
-    becomes a ``Fraction``, zero coefficients are dropped, and terms are
-    kept in ascending ``(i, j)`` order so every iteration and rendering is
-    deterministic.  Two polynomials are equal iff their term mappings are.
+    Terms are normalized on construction: both exponents must be ints of
+    at least 1 by ``type()`` (otherwise ``ValueError``), a coefficient an
+    int or a ``Fraction`` by ``type()`` (so a bool raises ``TypeError``),
+    an int becomes a ``Fraction``, zero coefficients are dropped, and terms
+    are kept in ascending ``(i, j)`` order so every iteration and rendering
+    is deterministic.  Two polynomials are equal iff their term mappings are.
     """
 
     __slots__ = ("_terms",)
@@ -40,8 +38,8 @@ class MPoly:
     def __init__(self, terms: Mapping[tuple[int, int], Coefficient] = {}):  # the default is only read
         for key in terms:  # type(), so bools are refused in both
             i, j = key
-            if not (type(i) is int and type(j) is int) or i < 0 or j < 0:
-                raise ValueError(f"exponents must be non-negative integers, got {key!r}")
+            if not (type(i) is int and type(j) is int) or i < 1 or j < 1:
+                raise ValueError(f"exponents must be positive integers, got {key!r}")
             if type(c := terms[key]) not in (int, Fraction):
                 raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
         self._terms = {key: Fraction(c) if type(c) is int else c for key in sorted(terms) if (c := terms[key])}
@@ -62,20 +60,10 @@ class MPoly:
         Exponents are unchanged.  ``(1, 0)`` and ``(0, 1)`` act as the x/y
         derivative operators, ``(-1, 0)`` and ``(0, -1)`` as their
         integral-style inverses; ``(a, a)`` composes both coordinates.
-        A term with ``i == 0`` weighted by positive ``a`` vanishes, as the
-        derivative reading demands; a negative weight on a zero exponent
-        raises :class:`ZeroExponentWeight` because no finite value exists.
         """
         if not (type(a) is int and type(b) is int):  # bools are refused, as in exponents
             raise TypeError("weight exponents must be integers")
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, j), coefficient in self._terms.items():
-            if (a < 0 and i == 0) or (b < 0 and j == 0):
-                raise ZeroExponentWeight(
-                    f"negative weight ({a}, {b}) on term with exponents ({i}, {j})"
-                )
-            acc[(i, j)] = coefficient * Fraction(i) ** a * Fraction(j) ** b
-        return MPoly(acc)
+        return MPoly({(i, j): c * Fraction(i) ** a * Fraction(j) ** b for (i, j), c in self._terms.items()})
 
     def eval_at_one(self) -> Fraction:
         """Return the sum of all coefficients (the value at x = y = 1)."""
@@ -86,7 +74,7 @@ class MPoly:
 
         ``plain`` is fully explicit (``"6*x^3*y^3"``, coefficient and both
         exponents always written); ``latex`` uses conventional suppression
-        (``"6x^{3}y^{3}"``, unit coefficients and zero/one exponents
+        (``"6x^{3}y^{3}"``, unit coefficients and exponents of 1
         elided); ``json`` is an array of ``{i, j, num, den}`` records.
         """
         if fmt == "json":
@@ -104,14 +92,10 @@ class MPoly:
             if fmt == "plain":
                 term = f"{a}*x^{i}*y^{j}"
             else:
-                factors = ""
-                if i:
-                    factors += "x" if i == 1 else f"x^{{{i}}}"
-                if j:
-                    factors += "y" if j == 1 else f"y^{{{j}}}"
+                factors = ("x" if i == 1 else f"x^{{{i}}}") + ("y" if j == 1 else f"y^{{{j}}}")
                 if a.denominator != 1:
                     coef = f"\\frac{{{a.numerator}}}{{{a.denominator}}}"
-                elif a == 1 and factors:
+                elif a == 1:
                     coef = ""
                 else:
                     coef = str(a.numerator)

@@ -115,7 +115,7 @@ def reference_line_mpoly(g):
         for a, count_a in seen:
             counts[(a, k)] += count_a * c
         seen.append((k, c))
-    return MPoly(counts)
+    return MPoly(+counts)  # drops the zero (k, k) count of an edge that meets no other
 
 
 def hub_graph(seed, vertices=2000, background_edges=4000, hubs=4, hub_degree=60):

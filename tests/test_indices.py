@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from mladder import (
     Graph,
-    ZeroExponentWeight,
     alpha_label,
     build_ladder,
     indices_from_edges,
@@ -81,14 +80,6 @@ def test_reciprocal_is_negated_exponent(g):
 def test_reciprocal_is_negated_exponent_on_corpus():
     for g in corpus():
         assert_one_randic_rule(g)
-
-
-def test_zero_degree_terms_cannot_be_inverted():
-    from mladder import MPoly
-
-    p = MPoly({(0, 2): 1})
-    with pytest.raises(ZeroExponentWeight):
-        indices_from_mpoly(p)
 
 
 def test_normalize_alpha():
